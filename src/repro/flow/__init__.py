@@ -18,8 +18,10 @@ thread pool (``jobs=N``) with single-flight deduplication;
 :class:`DiskStageCache` persists the cache across processes.  The
 ``process`` and ``distributed`` executors (:mod:`repro.flow.executors`,
 :mod:`repro.flow.distributed`) scale the same batch across cores and
-across hosts — over a shared spool/cache filesystem, or over TCP
-(:mod:`repro.flow.nettransport`) with no shared mount at all.
+across hosts: the distributed one runs it as a job on a loopback
+compile-service broker (:mod:`repro.flow.service`) that workers reach
+over TCP (:mod:`repro.flow.nettransport`) with no shared mount at all,
+and ``ServiceExecutor`` runs it on a standing broker.
 """
 
 from repro.flow.options import FlowOptions, SystemOptions
@@ -62,7 +64,6 @@ from repro.flow.executors import (
 from repro.flow.distributed import (
     BrokerUnreachableError,
     DistributedExecutor,
-    SpoolTransport,
     Transport,
     TransportClosedError,
     WorkerCrashError,
@@ -118,7 +119,6 @@ __all__ = [
     "ProcessExecutor",
     "DistributedExecutor",
     "Transport",
-    "SpoolTransport",
     "MemoryTransport",
     "TcpTransport",
     "BrokerServer",

@@ -22,11 +22,14 @@ for every point), so the right backend depends on where the time goes:
   guarantee between address spaces.  This is the backend that makes
   core count, not stage count, the limit on CPU-bound sweep throughput.
 * ``distributed`` — :mod:`repro.flow.distributed`: the same job specs,
-  shipped through a durable work queue instead of a pool — a spool
-  directory for workers sharing the cache/spool filesystem, or a TCP
-  broker (:mod:`repro.flow.nettransport`) for workers that share
-  nothing but a network.  This is the backend that makes fleet size,
-  not core count, the limit.
+  run as one job on a loopback job-service broker
+  (:mod:`repro.flow.service`) by ``cfdlang-flow worker --connect``
+  processes it spawns, plus any workers that join over TCP from other
+  hosts.  This is the backend that makes fleet size, not core count,
+  the limit.
+* ``service`` — :class:`~repro.flow.service.ServiceExecutor`: the same
+  job on a standing ``cfdlang-flow broker``, durable across
+  disconnects and broker restarts.
 
 Backends implement the :class:`Executor` protocol and register under a
 name; ``compile_many(..., executor="process")`` or the CLI's
@@ -49,7 +52,15 @@ from concurrent.futures import (
     as_completed,
 )
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    runtime_checkable,
+)
 
 from repro.errors import SystemGenerationError
 from repro.flow.options import FlowOptions
@@ -64,15 +75,6 @@ from repro.flow.store import (
     StageCache,
 )
 
-try:  # Protocol is 3.8+; keep a soft fallback for exotic interpreters
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
-
-
 #: one parsed design point: (source, options-or-None)
 Job = Tuple[object, Optional[FlowOptions]]
 
@@ -86,7 +88,9 @@ class ExecutorContext:
     points) or the exception the point raised.  ``fail_fast`` is the shared
     early-exit contract: once any point has failed, a backend stops
     *starting* points — already-running ones finish (and their outcomes
-    are recorded), never-started ones keep their ``None`` slot.  With
+    are recorded; on the broker-backed ``distributed``/``service``
+    backends the job ends at once, so they keep ``None`` too),
+    never-started ones keep their ``None`` slot.  With
     ``fail_fast=False`` every point runs to completion regardless of
     failures.
     """

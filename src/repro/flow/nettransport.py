@@ -1,33 +1,32 @@
-"""TCP transport for distributed sweeps: broker server, client proxy.
+"""TCP transport for the broker: queue state, server, client proxy.
 
-:class:`~repro.flow.distributed.SpoolTransport` scales a sweep across
-hosts, but only hosts that mount the broker's spool/cache filesystem.
-This module removes that constraint: the broker owns the job queue and
-the stage cache in one process and serves both over a length-prefixed
-socket protocol, so a worker anywhere on the network joins the fleet
-with nothing but an address and a shared-secret token.
+The broker owns the job queue and the stage cache in one process and
+serves both over a length-prefixed socket protocol, so a worker anywhere
+on the network joins the fleet with nothing but an address and a
+shared-secret token — no shared filesystem.
 
 Three pieces:
 
 * :class:`MemoryTransport` — the broker-local queue state: a thread-safe
-  in-memory implementation of the :class:`~repro.flow.distributed.
-  Transport` protocol whose leases and worker liveness are monotonic
-  timestamps instead of file mtimes.  The PR-4 supervision machinery
-  (lease expiry, requeue-on-death, bounded retries, stall detection)
-  runs against it unchanged.
+  in-memory work queue whose leases and worker liveness are monotonic
+  timestamps.  Workers see its :class:`~repro.flow.distributed.
+  Transport` side; the job service (:mod:`repro.flow.service`) drives
+  the rest — enqueueing, result collection, lease expiry, cancellation.
 * :class:`BrokerServer` — a threaded TCP server wrapping a
   :class:`MemoryTransport` plus the broker's
-  :class:`~repro.flow.store.DiskStageCache`.  Every request is a framed
-  message; the first must be a JSON ``hello`` carrying the shared-secret
-  token (compared constant-time), and only authenticated connections may
-  send or receive pickle frames.  A worker's requests double as its
-  heartbeat; a dropped connection unregisters the worker immediately,
-  and its leases expire on the normal clock.
-* :class:`TcpTransport` — the client proxy: implements the full
-  ``Transport`` protocol by RPC, so a worker (``cfdlang-flow worker
-  --connect HOST:PORT``), a remote sweep submitter (``--broker``), and
-  the transport-conformance test suite all drive a remote broker through
-  the same object they would use locally.
+  :class:`~repro.flow.store.DiskStageCache` and, optionally, a job
+  service.  Every request is a framed message; the first must be a JSON
+  ``hello`` carrying the shared-secret token (compared constant-time),
+  and only authenticated connections may send or receive pickle frames.
+  A worker's requests double as its heartbeat; a dropped connection
+  unregisters the worker immediately, and its leases expire on the
+  normal clock.
+* :class:`TcpTransport` — the client proxy: the worker ``Transport``
+  surface and the cache fetch/put, one RPC each, so a worker
+  (``cfdlang-flow worker --connect HOST:PORT``) drives a remote broker
+  through the same loop it would run locally;
+  :class:`~repro.flow.service.ServiceClient` rides the same connection
+  type for the job-service RPCs.
 
 Workers without the shared mount still reuse cache artifacts:
 :class:`RemoteStageCache` layers a worker-local
@@ -65,7 +64,6 @@ from repro.errors import SystemGenerationError
 from repro.flow.distributed import (
     BrokerUnreachableError,
     TransportClosedError,
-    batch_of,
     default_worker_id,
     run_worker,
 )
@@ -92,15 +90,14 @@ class BrokerAuthError(SystemGenerationError):
     """The broker rejected this client's token."""
 
 
-#: the request surface a tenant-token connection may use: service RPCs,
-#: its own (namespace-stamped) job submission, and its cache partition.
-#: Everything else is the worker/supervisor surface — claiming queued
-#: points, posting results, stealing/expiring leases — which would let
-#: one tenant read or forge another tenant's work, so it is reserved
-#: for primary-token connections.
+#: the request surface a tenant-token connection may use: service RPCs
+#: (its own namespace-stamped jobs) and its cache partition.  Everything
+#: else is the worker surface — claiming queued points, posting results,
+#: beating leases — which would let one tenant read or forge another
+#: tenant's work, so it is reserved for primary-token connections.
 TENANT_OPS = frozenset({
     "submit", "job_status", "job_fetch", "job_cancel", "service_stats",
-    "put_job", "cache_fetch", "cache_put",
+    "cache_fetch", "cache_put",
 })
 
 
@@ -194,17 +191,25 @@ def recv_frame(sock: socket.socket, *, allow_pickle: bool):
 
 
 # -- broker-local state -------------------------------------------------------
-class MemoryTransport:
-    """In-memory :class:`~repro.flow.distributed.Transport` — the queue
-    state a :class:`BrokerServer` owns.
+def batch_of(job_id: str) -> str:
+    """The batch a broker-minted job id belongs to (ids are
+    ``<batch>-<index>``); ids without the separator are their own
+    batch."""
+    return job_id.rsplit("-", 1)[0]
 
-    The same claim/lease/tombstone semantics as the spool, with
-    ``time.monotonic`` timestamps where the spool uses file mtimes:
-    claiming restarts the lease clock, ``heartbeat_job`` advances it,
-    ``expired_leases`` compares it against the broker's lease window.
-    All methods are thread-safe (the server handles each connection on
-    its own thread).  Jobs claim in sorted-id order, matching the spool,
-    so broker behavior is transport-independent.
+
+class MemoryTransport:
+    """The work queue a :class:`BrokerServer` owns: the worker-side
+    :class:`~repro.flow.distributed.Transport` plus the broker side the
+    job service drives.
+
+    ``time.monotonic`` timestamps clock leases and liveness: claiming
+    starts a lease, ``heartbeat_job`` advances it, ``expired_leases``
+    compares it against the broker's lease window.  A batch tombstone
+    (``mark_batch_done``) drops straggler results of a finished or
+    cancelled batch.  All methods are thread-safe (the server handles
+    each connection on its own thread).  Jobs claim in sorted-id order,
+    so time-sortable job ids drain first-come-first-served.
     """
 
     _TOMBSTONE_TTL_SECONDS = 86400.0
@@ -330,7 +335,8 @@ class BrokerServer:
     One accept thread plus one thread per connection — fleets here are
     tens of workers, not thousands.  ``address`` is the bound (host,
     port) pair, so listening on port 0 yields a usable ephemeral port.
-    ``close()`` shuts the listener and every live connection down.
+    ``close()`` shuts the listener and every live connection down and
+    returns once their threads have exited.
     """
 
     def __init__(
@@ -389,6 +395,12 @@ class BrokerServer:
         self._closing.set()
         if self.service is not None:
             self.service.stop()  # scheduler first: no new puts mid-teardown
+        try:
+            # close() alone does not wake a thread blocked in accept() on
+            # Linux; shutdown does, so the join below returns at once
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:
@@ -508,16 +520,16 @@ class BrokerServer:
         """One request -> (reply, pickled?).  Requests from workers count
         as liveness: any op refreshes the connection's worker heartbeat.
         ``tenant`` is the connection's authenticated tenant: its cache
-        RPCs are confined to that namespace of the shared store and its
-        enqueued jobs are stamped so workers compute into it too."""
+        RPCs are confined to that namespace of the shared store, as are
+        the jobs it submits to the service."""
         t = self.transport
         op = request.get("op")
         if worker_id:
             t.heartbeat_worker(worker_id)
         if tenant and op not in TENANT_OPS:
-            # tenant isolation: the worker/supervisor surface could pop
-            # another tenant's queued point (leaking its source), post a
-            # forged result for it, or steal its in-flight results
+            # tenant isolation: the worker surface could pop another
+            # tenant's queued point (leaking its source) or post a
+            # forged result for it
             return {
                 "ok": False,
                 "error": f"op {op!r} requires the primary broker token; "
@@ -528,9 +540,8 @@ class BrokerServer:
             if self.service is None:
                 return {
                     "ok": False,
-                    "error": "this broker runs no job service (a sweep's "
-                             "--listen broker is transport-only; submit to "
-                             "a standing 'cfdlang-flow broker' instead)",
+                    "error": "this broker runs no job service; submit to "
+                             "a 'cfdlang-flow broker' instead",
                 }, False
             return self.service.handle_rpc(op, request, tenant)
         if op == "service_stats":
@@ -556,40 +567,11 @@ class BrokerServer:
         if op == "complete":
             t.complete(str(request["id"]), request["payload"])
             return {"ok": True}, False
-        if op == "put_job":
-            message = dict(request["message"])
-            if tenant:
-                # a tenant's directly-enqueued points still land in its
-                # own namespace: workers read this stamp and wrap their
-                # cache (the rest of the transport surface — claiming,
-                # results, leases — stays primary-token only)
-                message["namespace"] = tenant
-            t.put_job(message)
-            return {"ok": True}, False
-        if op == "take_result":
-            return {"payload": t.take_result(str(request["id"]))}, True
-        if op == "expired_leases":
-            jobs = t.expired_leases(float(request["lease_seconds"]))
-            return {"jobs": jobs}, False
-        if op == "release":
-            t.release(str(request["id"]))
-            return {"ok": True}, False
-        if op == "cancel_pending":
-            cancelled = t.cancel_pending(set(request["ids"]))
-            return {"cancelled": sorted(cancelled)}, False
-        if op == "batch_done":
-            return {"done": t.batch_done(str(request["id"]))}, False
-        if op == "mark_batch_done":
-            t.mark_batch_done(str(request["batch"]))
-            return {"ok": True}, False
         if op == "unregister_worker":
             worker = request.get("worker") or worker_id
             if worker:
                 t.unregister_worker(str(worker))
             return {"ok": True}, False
-        if op == "alive_workers":
-            workers = t.alive_workers(float(request["stale_seconds"]))
-            return {"workers": workers}, False
         if op == "cache_fetch":
             key = namespaced_key(tenant, str(request["key"]))
             data = (
@@ -610,9 +592,9 @@ class BrokerServer:
 # -- client proxy -------------------------------------------------------------
 class TcpTransport:
     """Client-side :class:`~repro.flow.distributed.Transport` over a
-    broker connection.
+    broker connection, plus the broker-cache RPCs.
 
-    Every protocol method is one request/reply round trip on a single
+    Every method is one request/reply round trip on a single
     persistent socket, serialized by a lock so the worker's heartbeat
     thread and its job loop share the connection safely.  ``connect()``
     retries a refused connection ``connect_retries`` times
@@ -772,9 +754,6 @@ class TcpTransport:
         return reply
 
     # -- Transport protocol --------------------------------------------------
-    def put_job(self, message: Dict[str, object]) -> None:
-        self._call({"op": "put_job", "message": message})
-
     def claim_job(self) -> Optional[Dict[str, object]]:
         return self._call({"op": "claim"})["job"]
 
@@ -787,29 +766,6 @@ class TcpTransport:
             pickled=True,
         )
 
-    def take_result(self, job_id: str) -> Optional[Dict[str, object]]:
-        return self._call({"op": "take_result", "id": job_id})["payload"]
-
-    def expired_leases(self, lease_seconds: float) -> List[str]:
-        return self._call(
-            {"op": "expired_leases", "lease_seconds": lease_seconds}
-        )["jobs"]
-
-    def release(self, job_id: str) -> None:
-        self._call({"op": "release", "id": job_id})
-
-    def cancel_pending(self, job_ids: Set[str]) -> Set[str]:
-        reply = self._call(
-            {"op": "cancel_pending", "ids": sorted(job_ids)}
-        )
-        return set(reply["cancelled"])
-
-    def batch_done(self, job_id: str) -> bool:
-        return bool(self._call({"op": "batch_done", "id": job_id})["done"])
-
-    def mark_batch_done(self, batch_id: str) -> None:
-        self._call({"op": "mark_batch_done", "batch": batch_id})
-
     def heartbeat_worker(self, worker_id: str) -> None:
         self._call({"op": "heartbeat", "worker": worker_id})
 
@@ -818,11 +774,6 @@ class TcpTransport:
             self._call({"op": "unregister_worker", "worker": worker_id})
         except TransportClosedError:
             pass  # the dropped connection already unregistered us
-
-    def alive_workers(self, stale_seconds: float) -> List[str]:
-        return self._call(
-            {"op": "alive_workers", "stale_seconds": stale_seconds}
-        )["workers"]
 
     # -- broker cache access -------------------------------------------------
     def cache_fetch(self, key: str) -> Optional[bytes]:

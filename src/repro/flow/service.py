@@ -1,13 +1,13 @@
-"""Compile-as-a-service: durable jobs on the standing broker.
+"""Compile-as-a-service: durable jobs on a broker.
 
-The distributed executor made the broker a *transport*: a sweep client
-stays connected for its whole run, supervising leases and collecting
-results itself.  This module makes the broker a *service*.  A client
-submits an entire DSE grid in one RPC and gets back a durable job id;
-the broker owns the job from there — queued → running → done / failed /
-cancelled — persisting the spec and every per-point result under a
-service directory, so the client can disconnect immediately and any
-later connection (the same host or another) can ``poll``/``fetch``/
+This module makes the broker a *service*, and it is the only broker
+path: a standing ``cfdlang-flow broker`` runs it, and so does the
+one-shot broker of ``--executor distributed``.  A client submits an
+entire DSE grid in one RPC and gets back a durable job id; the broker
+owns the job from there — queued → running → done / failed / cancelled
+— persisting the spec and every per-point result under a service
+directory, so the client can disconnect immediately and any later
+connection (the same host or another) can ``poll``/``fetch``/
 ``cancel`` by id.  A broker restarted over the same service directory
 recovers its jobs and re-enqueues the unfinished points; fetched
 results are bit-identical to the serial backend because workers run the
@@ -18,7 +18,7 @@ Pieces, broker side:
 
 * :class:`JobService` — the job registry and scheduler.  ``submit``
   persists a spec and enqueues one message per design point on the
-  broker's :class:`~repro.flow.distributed.Transport`; a background
+  broker's :class:`~repro.flow.nettransport.MemoryTransport`; a background
   scheduler thread collects results, heals expired leases with bounded
   retries (a point whose workers keep dying resolves to
   :class:`~repro.flow.distributed.WorkerCrashError`), and finalizes the
@@ -35,10 +35,9 @@ Pieces, broker side:
   namespaced_key`): a tenant's jobs are computed into, and served from,
   its own partition of the shared store, and its jobs cannot be fetched
   or cancelled with another tenant's token.  Tenant tokens are confined
-  to this service surface (plus their cache namespace): the raw
-  worker/transport ops — claiming queued points, posting completions,
-  collecting results — require the primary token (see
-  :data:`~repro.flow.nettransport.TENANT_OPS`).
+  to this service surface (plus their cache namespace): the worker ops
+  — claiming queued points, posting completions — require the primary
+  token (see :data:`~repro.flow.nettransport.TENANT_OPS`).
 
 Pieces, client side:
 
@@ -49,7 +48,8 @@ Pieces, client side:
   ``fetch()``, ``cancel()``.  Constructable from nothing but an address
   and a job id, which is the whole point.
 * :class:`ServiceExecutor` — ``compile_many(..., executor="service")``:
-  submits the batch as one job and polls it to completion, or with
+  submits the batch as one job and polls it to completion
+  (:func:`run_batch`, shared with the distributed executor), or with
   ``detach=True`` returns the :class:`SweepJob` immediately.
 
 Service directory layout (all writes atomic)::
@@ -74,7 +74,9 @@ import uuid
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SystemGenerationError
-from repro.flow.distributed import Transport, WorkerCrashError
+from repro.flow.distributed import WorkerCrashError
+from repro.flow.nettransport import BrokerServer, MemoryTransport, TcpTransport
+from repro.flow.stages import source_fingerprint
 from repro.flow.store import atomic_write_bytes
 
 #: job lifecycle states; the last three are terminal
@@ -98,7 +100,7 @@ def mint_job_id() -> str:
     transports claim pending points in sorted-id order, so time-sortable
     ids make the whole service drain first-come-first-served.  No ``-``
     may appear — point ids are ``<job>-<idx>`` and
-    :func:`~repro.flow.distributed.batch_of` splits on the last dash.
+    :func:`~repro.flow.nettransport.batch_of` splits on the last dash.
     """
     return f"j{int(time.time() * 1000):012x}{uuid.uuid4().hex[:8]}"
 
@@ -109,12 +111,16 @@ class _JobRecord:
 
     __slots__ = (
         "job_id", "tenant", "points", "state", "created", "finished",
-        "resolved", "failed_points", "attempts",
+        "resolved", "failed_points", "attempts", "fail_fast",
     )
 
-    def __init__(self, job_id, tenant, points, state, created) -> None:
+    def __init__(
+        self, job_id, tenant, points, state, created, fail_fast=False,
+    ) -> None:
         self.job_id = str(job_id)
         self.tenant = str(tenant)
+        #: end the job at its first failed point (see JobService.submit)
+        self.fail_fast = bool(fail_fast)
         #: [(source text, options spec or None), ...] in point order
         self.points = points
         self.state = state
@@ -138,8 +144,9 @@ class _JobRecord:
 class JobService:
     """Durable job lifecycle for a standing broker.
 
-    Owns a service directory and a :class:`~repro.flow.distributed.
-    Transport` the broker's workers drain.  ``start()`` launches the
+    Owns a service directory and the
+    :class:`~repro.flow.nettransport.MemoryTransport` the broker's
+    workers drain.  ``start()`` launches the
     scheduler thread (result collection, lease healing, finalization)
     and ``stop()`` joins it; :class:`~repro.flow.nettransport.
     BrokerServer` calls ``stop()`` from its own ``close()`` when handed
@@ -156,7 +163,7 @@ class JobService:
     def __init__(
         self,
         service_dir,
-        transport: Transport,
+        transport: MemoryTransport,
         cache=None,
         *,
         lease_seconds: float = 30.0,
@@ -243,6 +250,7 @@ class JobService:
                 spec["id"], spec.get("tenant", ""),
                 [tuple(p) for p in spec["points"]],
                 "queued", spec.get("created", 0.0),
+                spec.get("fail_fast", False),
             )
             try:
                 state = json.loads(
@@ -302,12 +310,17 @@ class JobService:
             return None
 
     # -- client API (also reachable as RPCs via handle_rpc) ------------------
-    def submit(self, points, tenant: str = "") -> str:
+    def submit(self, points, tenant: str = "", fail_fast: bool = False) -> str:
         """Persist and enqueue a job; returns its durable id.
 
         ``points`` is a list of ``(source text, options spec or None)``
-        pairs — the same primitives-only shape distributed messages use.
-        Raises :class:`BrokerBusyError` when admission limits are hit.
+        pairs — the same primitives-only shape worker messages use.
+        With ``fail_fast`` (how ``compile_many`` runs without
+        ``return_exceptions``) the first failed point ends the job as
+        ``failed``: no further point starts, and slots not yet resolved
+        stay None.  The scheduler does this in the same step that
+        records the failure, so no client poll can race it.  Raises
+        :class:`BrokerBusyError` when admission limits are hit.
         """
         tenant = str(tenant)
         points = [
@@ -333,7 +346,8 @@ class JobService:
                     "resubmit later"
                 )
             job = _JobRecord(
-                mint_job_id(), tenant, points, "queued", time.time()
+                mint_job_id(), tenant, points, "queued", time.time(),
+                fail_fast,
             )
             atomic_write_bytes(
                 self._spec_path(job.job_id),
@@ -342,6 +356,7 @@ class JobService:
                     "tenant": job.tenant,
                     "points": [list(p) for p in job.points],
                     "created": job.created,
+                    "fail_fast": job.fail_fast,
                 }).encode(),
             )
             self._jobs[job.job_id] = job
@@ -410,17 +425,26 @@ class JobService:
                 self._purge(job)
                 return {"job": job.job_id, "state": job.state,
                         "purged": True}
-            job.state = "cancelled"
-            job.finished = time.time()
-            self._persist_state(job)
-            unresolved = {job.point_id(i) for i in job.unresolved()}
+            unresolved = self._end_early(job, "cancelled")
+        self._drop_points(job, unresolved)
+        return {"job": job.job_id, "state": "cancelled", "purged": False}
+
+    def _end_early(self, job: _JobRecord, state: str) -> set:
+        """Make an unfinished job terminal now (caller holds the lock);
+        returns the ids of its unresolved points for
+        :meth:`_drop_points`."""
+        job.state = state
+        job.finished = time.time()
+        self._persist_state(job)
+        return {job.point_id(i) for i in job.unresolved()}
+
+    def _drop_points(self, job: _JobRecord, point_ids: set) -> None:
         # a tombstone drops in-flight straggler results; cancel_pending
         # drops the never-claimed
         self.transport.mark_batch_done(job.job_id)
-        self.transport.cancel_pending(unresolved)
-        for pid in unresolved:
+        self.transport.cancel_pending(point_ids)
+        for pid in point_ids:
             self.transport.release(pid)
-        return {"job": job.job_id, "state": "cancelled", "purged": False}
 
     def _purge(self, job: _JobRecord) -> None:
         for index in range(len(job.points)):
@@ -483,7 +507,10 @@ class JobService:
                                  "list of [source, options] pairs",
                     }, False
                 points = [(p[0], p[1]) for p in raw_points]
-                return {"ok": True, "job": self.submit(points, tenant)}, False
+                job_id = self.submit(
+                    points, tenant, fail_fast=bool(request.get("fail_fast"))
+                )
+                return {"ok": True, "job": job_id}, False
             if op == "job_status":
                 return {
                     "ok": True,
@@ -549,12 +576,8 @@ class JobService:
         for index in job.unresolved():
             pid = job.point_id(index)
             payload = self.transport.take_result(pid)
-            if payload is None:
-                continue
-            if payload.get("corrupt"):
-                self._burn_attempt(job, index)
-                continue
-            self._resolve(job, index, payload)
+            if payload is not None:
+                self._resolve(job, index, payload)
 
     def _resolve(self, job: _JobRecord, index: int, payload) -> None:
         with self._lock:
@@ -581,13 +604,18 @@ class JobService:
                     pass  # other results remain; purge removes them
                 return
             job.resolved.add(index)
+            dropped = None
             if isinstance(payload.get("outcome"), BaseException):
                 job.failed_points += 1
+                if job.fail_fast:
+                    dropped = self._end_early(job, "failed")
             if job.state == "queued":
                 job.state = "running"
             deltas = payload.get("deltas")
         if deltas and self.cache is not None:
             self.cache.merge_stats(deltas)
+        if dropped is not None:
+            self._drop_points(job, dropped)
 
     def _heal_leases(self, live: List[_JobRecord]) -> None:
         by_pid: Dict[str, Tuple[_JobRecord, int]] = {}
@@ -599,12 +627,12 @@ class JobService:
         for pid in self.transport.expired_leases(self.lease_seconds):
             hit = by_pid.get(pid)
             if hit is None:
-                continue  # another batch's lease (a live attached sweep)
+                continue  # a finished job's straggler lease
             self._burn_attempt(*hit)
 
     def _burn_attempt(self, job: _JobRecord, index: int) -> None:
-        """A point's worker died (or its result came back damaged):
-        requeue within the retry budget, else fail the point."""
+        """A point's worker died: requeue within the retry budget, else
+        fail the point."""
         with self._lock:
             if job.state in TERMINAL_STATES:
                 return  # a cancel raced the scheduler: never requeue
@@ -666,8 +694,6 @@ def start_service_broker(
     over the same directory are re-enqueued before the first connection
     lands.  ``server.close()`` stops the service too.
     """
-    from repro.flow.nettransport import BrokerServer, MemoryTransport
-
     if service_dir is None:
         service_dir = pathlib.Path(cache.cache_dir) / ".service"
     transport = MemoryTransport()
@@ -710,8 +736,6 @@ class ServiceClient:
         connect_retries: int = 20,
         retry_delay: float = 0.25,
     ) -> None:
-        from repro.flow.nettransport import TcpTransport
-
         self.transport = TcpTransport(
             broker,
             token,
@@ -741,12 +765,14 @@ class ServiceClient:
             raise SystemGenerationError(str(error))
         return reply
 
-    def submit(self, points) -> "SweepJob":
+    def submit(self, points, fail_fast: bool = False) -> "SweepJob":
         """Submit ``[(source text, options spec or None), ...]``; returns
-        the durable :class:`SweepJob` handle."""
+        the durable :class:`SweepJob` handle.  ``fail_fast``: see
+        :meth:`JobService.submit`."""
         reply = self._rpc({
             "op": "submit",
             "points": [[source, spec] for source, spec in points],
+            "fail_fast": bool(fail_fast),
         })
         return SweepJob(self, str(reply["job"]))
 
@@ -829,12 +855,56 @@ def attach_job(broker, token: Optional[str], job_id: str) -> SweepJob:
 
 
 # -- executor backend ---------------------------------------------------------
+def _batch_points(jobs) -> List[Tuple[str, Optional[Dict[str, object]]]]:
+    """Parsed ``compile_many`` jobs -> the primitives-only submit shape."""
+    return [
+        (
+            source_fingerprint(source),
+            None if options is None else options.to_spec(),
+        )
+        for source, options in jobs
+    ]
+
+
+def run_batch(client: ServiceClient, context, *, poll_seconds: float,
+              watch=None) -> List[object]:
+    """Run an executor batch as one job: submit, wait, fetch, unpack.
+
+    The outcome path of both :class:`ServiceExecutor` and
+    :class:`~repro.flow.distributed.DistributedExecutor`.  Returns the
+    per-point outcomes in point order (None for a point the job never
+    ran) and merges the points' trace events into ``context.trace`` in
+    point order.  ``context.fail_fast`` travels with the submit, so the
+    broker ends the job at its first failed point.  Worker cache-counter
+    deltas are merged by the broker into its own cache.  ``watch``, if
+    given, is called with each status of the unfinished job and may
+    raise to abandon the wait.
+    """
+    job = client.submit(_batch_points(context.jobs),
+                        fail_fast=context.fail_fast)
+    while True:
+        status = job.status()
+        if status["state"] in TERMINAL_STATES:
+            break
+        if watch is not None:
+            watch(status)
+        time.sleep(poll_seconds)
+    payloads = job.fetch_payloads()
+    if context.trace is not None:
+        for payload in payloads:
+            for stage, seconds, cached, origin in (
+                (payload or {}).get("events") or []
+            ):
+                context.trace.record(stage, seconds, cached, origin)
+    return [None if p is None else p.get("outcome") for p in payloads]
+
+
 class ServiceExecutor:
     """``compile_many`` backend that rides the job service.
 
     The whole batch becomes one submitted job; the executor polls it to
-    completion and unpacks the payloads, so results, traces, and
-    exceptions read exactly like every other backend.  With
+    completion and unpacks the payloads (:func:`run_batch`), so results,
+    traces, and exceptions read exactly like every other backend.  With
     ``detach=True``, ``run`` returns the :class:`SweepJob` handle
     immediately instead of outcomes — ``compile_many`` passes it
     through, and the caller fetches whenever (and wherever) it likes.
@@ -866,8 +936,6 @@ class ServiceExecutor:
         return cache if cache is not None else StageCache()
 
     def run(self, context):
-        from repro.flow.stages import source_fingerprint
-
         if self.client is None:
             if self.broker is None:
                 raise SystemGenerationError(
@@ -876,30 +944,11 @@ class ServiceExecutor:
                     "bare name has nowhere to submit to"
                 )
             self.client = ServiceClient(self.broker, self.token).connect()
-        points = [
-            (
-                source_fingerprint(source),
-                None if options is None else options.to_spec(),
-            )
-            for source, options in context.jobs
-        ]
-        job = self.client.submit(points)
         if self.detach:
-            return job
-        job.wait(poll_seconds=self.poll_seconds)
-        payloads = job.fetch_payloads()
-        outcomes: List[object] = [None] * len(points)
-        for index, payload in enumerate(payloads):
-            if payload is None:
-                continue
-            outcomes[index] = payload.get("outcome")
-        if context.trace is not None:
-            for index, payload in enumerate(payloads):
-                for stage, seconds, cached, origin in (
-                    (payload or {}).get("events") or []
-                ):
-                    context.trace.record(stage, seconds, cached, origin)
-        return outcomes
+            # a detached job is fetched later and never raised from here,
+            # so it runs every point (no fail_fast)
+            return self.client.submit(_batch_points(context.jobs))
+        return run_batch(self.client, context, poll_seconds=self.poll_seconds)
 
     def cleanup(self) -> None:
         if self._owns_client and self.client is not None:

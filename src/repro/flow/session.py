@@ -531,10 +531,11 @@ def compile_many(
     ``"process"`` runs them on a process pool for CPU-bound sweeps,
     sharing artifacts through a :class:`DiskStageCache` (a temporary one
     if ``cache`` is None) with lock-file single flight; ``"distributed"``
-    (:mod:`repro.flow.distributed`) spools job specs to worker processes
-    — local ones it spawns, or any number attached from other hosts
-    sharing the cache/spool filesystem; ``"serial"`` forces the in-order
-    reference semantics.  Every backend computes each needed stage
+    (:mod:`repro.flow.distributed`) runs the batch as one job on a
+    loopback compile-service broker over a :class:`DiskStageCache`,
+    drained by worker processes it spawns plus any that join over TCP
+    from other hosts; ``"serial"`` forces the in-order reference
+    semantics.  Every backend computes each needed stage
     exactly once and produces results identical to the sequential run.
 
     ``ServiceExecutor(broker=..., token=...)`` (:mod:`repro.flow.

@@ -606,7 +606,7 @@ def source_fingerprint(source) -> str:
     :class:`~repro.cfdlang.ast.Program` AST) and multi-kernel
     :class:`~repro.flow.program.Program` values, which serialize to
     their sectioned text form — the representation job specs ship to
-    process pools, spool workers, and the standing broker.
+    process pools and broker workers.
     """
     if isinstance(source, str):
         return source

@@ -1,9 +1,9 @@
-"""Distributed executor: spool transport semantics, worker loop, broker
-supervision (lease expiry, requeue, retries, stall detection), and
-serial-equivalence of fleet-run sweeps."""
+"""Distributed executor: the worker loop, the one-shot fleet on a
+loopback job-service broker (worker death and respawn, retries, stall
+detection, fail_fast), and serial-equivalence of fleet-run sweeps."""
 
-import os
-import pickle
+import socket
+import threading
 import time
 
 import pytest
@@ -20,12 +20,14 @@ from repro.flow import (
 )
 from repro.flow.distributed import (
     DistributedExecutor,
-    SpoolTransport,
-    Transport,
     WorkerCrashError,
     run_worker,
 )
+from repro.flow.nettransport import BrokerServer, MemoryTransport, run_tcp_worker
+from repro.flow.service import start_service_broker
 from repro.mnemosyne import SharingMode
+
+TOKEN = "distributed-secret"
 
 
 def message(job_id, index=0, source=HELMHOLTZ_DSL, options=None, attempt=0):
@@ -38,112 +40,13 @@ def message(job_id, index=0, source=HELMHOLTZ_DSL, options=None, attempt=0):
     }
 
 
-class TestSpoolTransport:
-    def test_put_claim_complete_roundtrip(self, tmp_path):
-        t = SpoolTransport(tmp_path)
-        t.put_job(message("j1", index=7))
-        claimed = t.claim_job()
-        assert claimed["id"] == "j1" and claimed["index"] == 7
-        assert t.claim_job() is None  # leased, not re-claimable
-        t.complete("j1", {"id": "j1", "outcome": 42})
-        assert t.take_result("j1")["outcome"] == 42
-        assert t.take_result("j1") is None  # consumed
-        assert t.expired_leases(0.0) == []  # lease dropped on complete
-
-    def test_claim_is_exclusive_across_instances(self, tmp_path):
-        a, b = SpoolTransport(tmp_path), SpoolTransport(tmp_path)
-        a.put_job(message("j1"))
-        first, second = a.claim_job(), b.claim_job()
-        assert (first is None) != (second is None)
-
-    def test_claim_restarts_the_lease_clock(self, tmp_path):
-        t = SpoolTransport(tmp_path)
-        t.put_job(message("j1"))
-        # the job sat in the queue "for a long time" before the claim
-        stale = time.time() - 3600
-        os.utime(t.queue_dir / "j1.json", (stale, stale))
-        assert t.claim_job() is not None
-        # the lease must be fresh, or the broker would requeue instantly
-        assert t.expired_leases(60.0) == []
-
-    def test_expired_lease_detection_and_heartbeat(self, tmp_path):
-        t = SpoolTransport(tmp_path)
-        t.put_job(message("j1"))
-        t.claim_job()
-        stale = time.time() - 3600
-        os.utime(t.lease_dir / "j1.json", (stale, stale))
-        assert t.expired_leases(1.0) == ["j1"]
-        t.heartbeat_job("j1")  # a live worker touched the lease
-        assert t.expired_leases(1.0) == []
-
-    def test_completed_job_with_dangling_lease_is_not_requeued(self, tmp_path):
-        from repro.flow.store import atomic_write_bytes
-
-        # worker crashed between posting the result and dropping the lease
-        t = SpoolTransport(tmp_path)
-        t.put_job(message("j1"))
-        t.claim_job()
-        atomic_write_bytes(t.result_dir / "j1.pkl",
-                           pickle.dumps({"id": "j1", "outcome": 1}))
-        stale = time.time() - 3600
-        os.utime(t.lease_dir / "j1.json", (stale, stale))
-        assert t.expired_leases(1.0) == []  # cleaned up, not expired
-        assert not (t.lease_dir / "j1.json").exists()
-        assert t.take_result("j1")["outcome"] == 1
-
-    def test_cancel_pending_skips_claimed_jobs(self, tmp_path):
-        t = SpoolTransport(tmp_path)
-        t.put_job(message("j1"))
-        t.put_job(message("j2", index=1))
-        t.claim_job()  # j1 leased
-        assert t.cancel_pending({"j1", "j2"}) == {"j2"}
-
-    def test_corrupt_result_surfaces_for_retry(self, tmp_path):
-        t = SpoolTransport(tmp_path)
-        (t.result_dir / "j1.pkl").write_bytes(b"not a pickle")
-        payload = t.take_result("j1")
-        assert payload["corrupt"]
-        assert not (t.result_dir / "j1.pkl").exists()
-
-    def test_worker_heartbeat_liveness(self, tmp_path):
-        t = SpoolTransport(tmp_path)
-        assert t.alive_workers(60.0) == []
-        path = t.worker_heartbeat_path("w1")
-        with open(path, "w"):
-            pass
-        assert t.alive_workers(60.0) == ["w1"]
-        stale = time.time() - 3600
-        os.utime(path, (stale, stale))
-        assert t.alive_workers(60.0) == []
-
-    def test_satisfies_transport_protocol(self, tmp_path):
-        assert isinstance(SpoolTransport(tmp_path), Transport)
-
-    def test_batch_tombstone_blocks_straggler_results(self, tmp_path):
-        """A worker finishing after its batch closed must not orphan a
-        result pickle in a standing spool."""
-        t = SpoolTransport(tmp_path)
-        t.put_job(message("batchA-00000"))
-        t.claim_job()
-        t.mark_batch_done("batchA")
-        t.complete("batchA-00000", {"id": "batchA-00000", "outcome": 1})
-        assert t.take_result("batchA-00000") is None  # never posted
-        assert not (t.lease_dir / "batchA-00000.json").exists()
-        assert not list(t.result_dir.glob("*.pkl"))
-        # other batches are unaffected
-        t.put_job(message("batchB-00000"))
-        t.claim_job()
-        t.complete("batchB-00000", {"id": "batchB-00000", "outcome": 2})
-        assert t.take_result("batchB-00000")["outcome"] == 2
-
-
 class TestWorkerLoop:
     def test_worker_drains_queue_and_posts_results(self, tmp_path):
-        t = SpoolTransport(tmp_path / "spool")
+        t = MemoryTransport()
         opts = FlowOptions(system=SystemOptions(k=2, m=2))
         t.put_job(message("j0", index=0))
         t.put_job(message("j1", index=1, options=opts.to_spec()))
-        handled = run_worker(tmp_path / "spool", tmp_path / "cache",
+        handled = run_worker(t, DiskStageCache(tmp_path / "cache"),
                              max_jobs=2, worker_id="w-test")
         assert handled == 2
         r0 = t.take_result("j0")
@@ -156,15 +59,15 @@ class TestWorkerLoop:
 
     def test_worker_idle_timeout_exits_empty(self, tmp_path):
         t0 = time.monotonic()
-        handled = run_worker(tmp_path / "spool", tmp_path / "cache",
+        handled = run_worker(MemoryTransport(), DiskStageCache(tmp_path),
                              idle_timeout=0.2, poll_seconds=0.02)
         assert handled == 0
         assert time.monotonic() - t0 < 5.0
 
     def test_worker_ships_job_errors_by_value(self, tmp_path):
-        t = SpoolTransport(tmp_path / "spool")
+        t = MemoryTransport()
         t.put_job(message("j0", source="not CFDlang at all"))
-        run_worker(tmp_path / "spool", tmp_path / "cache", max_jobs=1)
+        run_worker(t, DiskStageCache(tmp_path), max_jobs=1)
         assert isinstance(t.take_result("j0")["outcome"], Exception)
 
 
@@ -212,7 +115,7 @@ class TestDistributedExecutor:
         ]
         for e in trace.events:
             assert "@" in e.origin
-            assert origin_kind(e.origin) in ("", "memory", "disk")
+            assert origin_kind(e.origin) in ("", "memory", "disk", "remote")
         # cross-process single flight: the shared front end ran once
         assert trace.executed_counts()["parse"] == 1
 
@@ -222,6 +125,9 @@ class TestDistributedExecutor:
         stats = cache.stats()
         assert stats["misses"] > 0  # the parent itself ran nothing
         assert stats["disk_entries"] > 0
+        # job state lived in the executor's temporary service directory,
+        # never where a standing broker over this cache would recover it
+        assert not (tmp_path / ".service").exists()
 
     def test_memory_cache_is_rejected(self):
         with pytest.raises(TypeError, match="DiskStageCache"):
@@ -240,6 +146,20 @@ class TestDistributedExecutor:
         assert results[2].system is not None
         with pytest.raises(Exception):
             compile_many(jobs, jobs=2, executor="distributed")
+
+    def test_fail_fast_stops_starting_points(self):
+        """Without return_exceptions the first failed point raises, and
+        the broker ends the job there: points not yet started on the
+        single worker never run."""
+        from repro.errors import CFDlangSyntaxError
+
+        trace = FlowTrace()
+        with pytest.raises(CFDlangSyntaxError):
+            compile_many([("not CFDlang", None)] + DSE_GRID, jobs=1,
+                         executor=DistributedExecutor(poll_seconds=0.01),
+                         trace=trace)
+        ran = len([e for e in trace.events if e.stage == "parse"])
+        assert ran <= len(DSE_GRID) // 2
 
 
 class TestWorkerDeathRecovery:
@@ -287,79 +207,78 @@ class TestWorkerDeathRecovery:
 
     def test_stalled_sweep_fails_loudly_without_workers(self, tmp_path):
         executor = DistributedExecutor(
-            queue_dir=tmp_path / "spool",
+            listen=("127.0.0.1", 0),
+            token=TOKEN,
             spawn_workers=False,
             worker_grace_seconds=0.5,
             poll_seconds=0.02,
         )
+        cache = DiskStageCache(tmp_path / "cache")
         with pytest.raises(SystemGenerationError, match="no worker"):
-            compile_many(DSE_GRID[:1], jobs=1, executor=executor,
-                         cache=DiskStageCache(tmp_path / "cache"))
-        # the aborted batch must be scrubbed from the standing spool, or
-        # the next worker to attach would execute orphaned jobs
-        t = SpoolTransport(tmp_path / "spool")
-        assert t.claim_job() is None
-        assert not list(t.result_dir.glob("*.pkl"))
+            compile_many(DSE_GRID[:1], jobs=1, executor=executor, cache=cache)
+        # the abandoned job must not outlive the sweep: a standing broker
+        # started later over the same cache has nothing to recover
+        server = start_service_broker("127.0.0.1", 0, TOKEN, cache)
+        try:
+            assert server.service.stats()["queue_depth"] == 0
+            assert server.transport.claim_job() is None
+        finally:
+            server.close()
+
+
+def free_port() -> int:
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]
 
 
 class TestExternalWorkers:
     def test_external_worker_drains_broker_batch(self, tmp_path):
-        """A worker attached to a standing spool (what another host would
-        run) serves a broker that spawns none itself."""
-        import subprocess
-        import sys
-
-        spool = tmp_path / "spool"
-        cache_dir = tmp_path / "cache"
-        spool.mkdir()
-        import pathlib
-
-        import repro
-
-        pkg_root = str(pathlib.Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (pkg_root, env.get("PYTHONPATH")) if p
+        """A worker attached over TCP (what another host would run)
+        serves a --listen sweep that spawns none itself."""
+        address = ("127.0.0.1", free_port())
+        # the worker retries its connect until the sweep's broker is up
+        worker = threading.Thread(
+            target=run_tcp_worker,
+            args=(address, TOKEN, tmp_path / "worker"),
+            kwargs={"max_jobs": 1, "poll_seconds": 0.02},
         )
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.flow.cli", "worker",
-             "--queue", str(spool), "--cache-dir", str(cache_dir),
-             "--idle-timeout", "30", "--poll", "0.02"],
-            env=env,
-        )
+        worker.start()
         try:
-            executor = DistributedExecutor(queue_dir=spool,
+            executor = DistributedExecutor(listen=address, token=TOKEN,
                                            spawn_workers=False)
             results = compile_many(
                 [(HELMHOLTZ_DSL, FlowOptions(system=SystemOptions(k=2, m=2)))],
                 executor=executor,
-                cache=DiskStageCache(cache_dir),
+                cache=DiskStageCache(tmp_path / "cache"),
             )
             assert results[0].system.k == 2
         finally:
-            proc.terminate()
-            proc.wait(timeout=10)
+            worker.join(timeout=30.0)
+        assert not worker.is_alive()
 
 
 class TestWorkerCli:
-    def test_parser_requires_queue_and_cache(self, capsys):
+    def test_parser_requires_connect(self):
         from repro.flow.cli import build_worker_parser
 
         with pytest.raises(SystemExit):
             build_worker_parser().parse_args([])
         args = build_worker_parser().parse_args(
-            ["--queue", "q", "--cache-dir", "c", "--max-jobs", "3"]
+            ["--connect", "h:1", "--cache-dir", "c", "--max-jobs", "3"]
         )
-        assert args.queue == "q" and args.max_jobs == 3
+        assert args.connect == "h:1" and args.max_jobs == 3
 
     def test_worker_subcommand_runs(self, tmp_path, capsys):
         from repro.flow.cli import main
 
-        t = SpoolTransport(tmp_path / "spool")
-        t.put_job(message("j0"))
-        rc = main(["worker", "--queue", str(tmp_path / "spool"),
-                   "--cache-dir", str(tmp_path / "cache"),
-                   "--max-jobs", "1"])
+        with BrokerServer("127.0.0.1", 0, TOKEN) as server:
+            server.transport.put_job(message("j0"))
+            host, port = server.address
+            rc = main(["worker", "--connect", f"{host}:{port}",
+                       "--token", TOKEN, "--cache-dir", str(tmp_path),
+                       "--max-jobs", "1"])
+            payload = server.transport.take_result("j0")
         assert rc == 0
         assert "1 job" in capsys.readouterr().out
-        assert t.take_result("j0")["outcome"].memory.brams == 18
+        assert payload["outcome"].memory.brams == 18

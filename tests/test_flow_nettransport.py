@@ -1,9 +1,10 @@
-"""TCP transport: transport-conformance contract (spool, memory, TCP),
-broker server auth, remote cache tiering, TCP worker/executor
+"""TCP transport: transport-conformance contract (memory, TCP), broker
+server auth and shutdown, remote cache tiering, TCP worker/executor
 end-to-end equivalence, and the worker CLI failure paths."""
 
 import os
 import socket
+import threading
 import time
 
 import pytest
@@ -20,7 +21,6 @@ from repro.flow import (
 from repro.flow.distributed import (
     BrokerUnreachableError,
     DistributedExecutor,
-    SpoolTransport,
     Transport,
     TransportClosedError,
 )
@@ -35,6 +35,7 @@ from repro.flow.nettransport import (
     run_tcp_worker,
     send_frame,
 )
+from repro.flow.service import start_service_broker
 
 TOKEN = "conformance-secret"
 
@@ -49,24 +50,17 @@ def message(job_id, index=0, source=HELMHOLTZ_DSL, options=None, attempt=0):
     }
 
 
-class Control:
-    """Transport-specific clock manipulation for the conformance suite:
-    how a test simulates "this lease/worker stopped heartbeating long
-    ago" without waiting out a real staleness window."""
-
-    def __init__(self, age_lease, age_worker):
-        self.age_lease = age_lease
-        self.age_worker = age_worker
-
-
 # -- the Transport contract ---------------------------------------------------
 class TransportConformance:
-    """The semantics every :class:`Transport` must provide, pinned once
-    and run against each implementation: exactly-once claiming in
+    """The work-queue semantics, pinned once and run against each way a
+    worker reaches the broker's queue: exactly-once claiming in
     sorted-id order, lease heartbeat/expiry/requeue, pending-job
     cancellation, batch tombstones, result consumption, and worker
-    liveness.  A future transport (Redis, ...) subclasses this with a
-    ``rig`` fixture and inherits the whole suite.
+    liveness.  ``rig`` yields ``(worker, queue)``: ``worker`` is the
+    :class:`Transport` a worker loop drives, ``queue`` the broker's
+    :class:`MemoryTransport`, where the job service enqueues, collects
+    results and ages leases.  A new worker transport subclasses this
+    with its own ``rig`` and inherits the whole suite.
     """
 
     @pytest.fixture
@@ -74,140 +68,107 @@ class TransportConformance:
         raise NotImplementedError  # pragma: no cover
 
     def test_satisfies_transport_protocol(self, rig):
-        transport, _ = rig
-        assert isinstance(transport, Transport)
+        worker, _ = rig
+        assert isinstance(worker, Transport)
 
     def test_put_claim_complete_roundtrip(self, rig):
-        transport, _ = rig
-        transport.put_job(message("b-00000", index=7))
-        claimed = transport.claim_job()
+        worker, queue = rig
+        queue.put_job(message("b-00000", index=7))
+        claimed = worker.claim_job()
         assert claimed["id"] == "b-00000" and claimed["index"] == 7
-        assert transport.claim_job() is None  # leased, not re-claimable
-        transport.complete("b-00000", {"id": "b-00000", "outcome": 42})
-        assert transport.take_result("b-00000")["outcome"] == 42
-        assert transport.take_result("b-00000") is None  # consumed
-        assert transport.expired_leases(0.0) == []  # lease dropped
+        assert worker.claim_job() is None  # leased, not re-claimable
+        worker.complete("b-00000", {"id": "b-00000", "outcome": 42})
+        assert queue.take_result("b-00000")["outcome"] == 42
+        assert queue.take_result("b-00000") is None  # consumed
+        assert queue.expired_leases(0.0) == []  # lease dropped
 
     def test_claims_in_sorted_id_order(self, rig):
-        transport, _ = rig
-        transport.put_job(message("b-00002", index=2))
-        transport.put_job(message("b-00000", index=0))
-        transport.put_job(message("b-00001", index=1))
-        claimed = [transport.claim_job()["id"] for _ in range(3)]
+        worker, queue = rig
+        queue.put_job(message("b-00002", index=2))
+        queue.put_job(message("b-00000", index=0))
+        queue.put_job(message("b-00001", index=1))
+        claimed = [worker.claim_job()["id"] for _ in range(3)]
         assert claimed == ["b-00000", "b-00001", "b-00002"]
 
     def test_lease_expiry_heartbeat_and_requeue(self, rig):
-        transport, control = rig
-        transport.put_job(message("b-00000"))
-        job = transport.claim_job()
-        assert transport.expired_leases(30.0) == []  # fresh lease
-        control.age_lease(transport, "b-00000", 3600.0)
-        assert transport.expired_leases(30.0) == ["b-00000"]
-        transport.heartbeat_job("b-00000")  # a live worker touched it
-        assert transport.expired_leases(30.0) == []
+        worker, queue = rig
+        queue.put_job(message("b-00000"))
+        job = worker.claim_job()
+        assert queue.expired_leases(30.0) == []  # fresh lease
+        queue._age_lease("b-00000", 3600.0)
+        assert queue.expired_leases(30.0) == ["b-00000"]
+        worker.heartbeat_job("b-00000")  # a live worker touched it
+        assert queue.expired_leases(30.0) == []
         # the broker's requeue path: release, re-put, claim again
-        control.age_lease(transport, "b-00000", 3600.0)
-        transport.release(job["id"])
+        queue._age_lease("b-00000", 3600.0)
+        queue.release(job["id"])
         job["attempt"] = 1
-        transport.put_job(job)
-        reclaimed = transport.claim_job()
+        queue.put_job(job)
+        reclaimed = worker.claim_job()
         assert reclaimed["id"] == "b-00000" and reclaimed["attempt"] == 1
 
     def test_heartbeat_of_unclaimed_job_is_harmless(self, rig):
-        transport, _ = rig
-        transport.heartbeat_job("never-claimed-00000")
-        assert transport.expired_leases(0.0) == []
+        worker, queue = rig
+        worker.heartbeat_job("never-claimed-00000")
+        assert queue.expired_leases(0.0) == []
 
     def test_cancel_pending_skips_claimed_jobs(self, rig):
-        transport, _ = rig
-        transport.put_job(message("b-00000"))
-        transport.put_job(message("b-00001", index=1))
-        transport.claim_job()  # b-00000 leased
-        cancelled = transport.cancel_pending({"b-00000", "b-00001"})
+        worker, queue = rig
+        queue.put_job(message("b-00000"))
+        queue.put_job(message("b-00001", index=1))
+        worker.claim_job()  # b-00000 leased
+        cancelled = queue.cancel_pending({"b-00000", "b-00001"})
         assert cancelled == {"b-00001"}
-        assert transport.claim_job() is None  # queue scrubbed
+        assert worker.claim_job() is None  # queue scrubbed
 
     def test_batch_tombstone_blocks_straggler_results(self, rig):
-        transport, _ = rig
-        transport.put_job(message("batchA-00000"))
-        transport.claim_job()
-        assert not transport.batch_done("batchA-00000")
-        transport.mark_batch_done("batchA")
-        assert transport.batch_done("batchA-00000")
-        transport.complete("batchA-00000", {"id": "batchA-00000", "outcome": 1})
-        assert transport.take_result("batchA-00000") is None  # dropped
-        assert transport.expired_leases(0.0) == []  # lease cleaned up
+        worker, queue = rig
+        queue.put_job(message("batchA-00000"))
+        worker.claim_job()
+        assert not queue.batch_done("batchA-00000")
+        queue.mark_batch_done("batchA")
+        assert queue.batch_done("batchA-00000")
+        worker.complete("batchA-00000", {"id": "batchA-00000", "outcome": 1})
+        assert queue.take_result("batchA-00000") is None  # dropped
+        assert queue.expired_leases(0.0) == []  # lease cleaned up
         # other batches are unaffected
-        transport.put_job(message("batchB-00000"))
-        transport.claim_job()
-        transport.complete("batchB-00000", {"id": "batchB-00000", "outcome": 2})
-        assert transport.take_result("batchB-00000")["outcome"] == 2
+        queue.put_job(message("batchB-00000"))
+        worker.claim_job()
+        worker.complete("batchB-00000", {"id": "batchB-00000", "outcome": 2})
+        assert queue.take_result("batchB-00000")["outcome"] == 2
 
     def test_worker_liveness(self, rig):
-        transport, control = rig
-        assert transport.alive_workers(60.0) == []
-        transport.heartbeat_worker("w1")
-        assert transport.alive_workers(60.0) == ["w1"]
-        control.age_worker(transport, "w1", 3600.0)
-        assert transport.alive_workers(60.0) == []
-        transport.heartbeat_worker("w1")
-        transport.unregister_worker("w1")
-        assert transport.alive_workers(60.0) == []
-
-
-def _spool_age_lease(transport, job_id, seconds):
-    path = transport.lease_dir / (job_id + ".json")
-    stale = time.time() - seconds
-    os.utime(path, (stale, stale))
-
-
-def _spool_age_worker(transport, worker_id, seconds):
-    path = transport.worker_heartbeat_path(worker_id)
-    stale = time.time() - seconds
-    os.utime(path, (stale, stale))
-
-
-class TestSpoolConformance(TransportConformance):
-    @pytest.fixture
-    def rig(self, tmp_path):
-        yield (
-            SpoolTransport(tmp_path / "spool"),
-            Control(_spool_age_lease, _spool_age_worker),
-        )
+        worker, queue = rig
+        assert queue.alive_workers(60.0) == []
+        worker.heartbeat_worker("w1")
+        assert queue.alive_workers(60.0) == ["w1"]
+        queue._age_worker("w1", 3600.0)
+        assert queue.alive_workers(60.0) == []
+        worker.heartbeat_worker("w1")
+        worker.unregister_worker("w1")
+        assert queue.alive_workers(60.0) == []
 
 
 class TestMemoryConformance(TransportConformance):
+    """The full contract in-process: the worker drives the broker's
+    queue object directly."""
+
     @pytest.fixture
     def rig(self, tmp_path):
         transport = MemoryTransport()
-        yield (
-            transport,
-            Control(
-                lambda t, job, s: t._age_lease(job, s),
-                lambda t, worker, s: t._age_worker(worker, s),
-            ),
-        )
+        yield transport, transport
 
 
 class TestTcpConformance(TransportConformance):
-    """The full contract over the wire: a TcpTransport client proxy
-    against a live BrokerServer (whose state is a MemoryTransport — the
-    control hooks age *that*, the far side of the connection)."""
+    """The worker surface over the wire: a worker-role TcpTransport
+    against a live BrokerServer, whose MemoryTransport is the queue."""
 
     @pytest.fixture
     def rig(self, tmp_path):
         server = BrokerServer("127.0.0.1", 0, TOKEN)
-        client = TcpTransport(server.address, TOKEN).connect()
+        client = TcpTransport(server.address, TOKEN, role="worker").connect()
         try:
-            yield (
-                client,
-                Control(
-                    lambda t, job, s: server.transport._age_lease(job, s),
-                    lambda t, worker, s: server.transport._age_worker(
-                        worker, s
-                    ),
-                ),
-            )
+            yield client, server.transport
         finally:
             client.close()
             server.close()
@@ -273,6 +234,34 @@ class TestBrokerServer:
         with pytest.raises(TransportClosedError):  # and again, instantly
             client.claim_job()
         assert time.monotonic() - t0 < 1.0
+
+    @pytest.mark.parametrize("kind", ["idle", "service", "live-worker"])
+    def test_close_is_prompt_and_leaves_no_threads(self, tmp_path, kind):
+        """close() must wake the accept thread (blocked in accept()) and
+        every connection thread at once, not wait out a join timeout."""
+        if kind == "service":
+            server = start_service_broker(
+                "127.0.0.1", 0, TOKEN, DiskStageCache(tmp_path / "cache"),
+                tmp_path / "service",
+            )
+        else:
+            server = BrokerServer("127.0.0.1", 0, TOKEN)
+        worker = None
+        if kind == "live-worker":
+            worker = TcpTransport(
+                server.address, TOKEN, role="worker", worker_id="w1"
+            ).connect()
+            assert server.transport.alive_workers(60.0) == ["w1"]
+        time.sleep(0.2)  # let the accept thread block in accept()
+        t0 = time.monotonic()
+        server.close()
+        assert time.monotonic() - t0 < 1.0
+        assert not server._accept_thread.is_alive()
+        assert not any(t.is_alive() for t in server._threads)
+        if worker is not None:
+            assert len(server._threads) == 1  # the worker's connection
+            with pytest.raises(TransportClosedError):
+                worker.claim_job()
 
     def test_listen_on_taken_port_is_a_clean_error(self):
         with BrokerServer("127.0.0.1", 0, TOKEN) as server:
@@ -424,8 +413,6 @@ class TestTcpWorkerLoop:
 
     def test_worker_exits_cleanly_when_broker_vanishes(self, tmp_path):
         server = BrokerServer("127.0.0.1", 0, TOKEN)
-        import threading
-
         threading.Timer(0.5, server.close).start()
         handled = run_tcp_worker(
             server.address, TOKEN, tmp_path / "local",
@@ -436,8 +423,8 @@ class TestTcpWorkerLoop:
 
 class TestTcpExecutor:
     def test_matches_serial_bit_identical(self, tmp_path):
-        """Acceptance: broker + 2 TCP workers with no shared spool dir
-        produce results bit-identical to the serial backend."""
+        """Acceptance: a --listen broker + 2 TCP workers with no shared
+        cache dir produce results bit-identical to the serial backend."""
         serial = compile_many(GRID, executor="serial")
         executor = DistributedExecutor(listen=("127.0.0.1", 0), token=TOKEN)
         tcp = compile_many(
@@ -480,61 +467,46 @@ class TestTcpExecutor:
         )
         assert cache.stats()["remote_hits"] > 0
 
-    def test_submitter_attaches_to_standing_broker(self, tmp_path):
-        """The `cfdlang-flow broker` deployment shape: a standing broker
-        owns queue + cache; the sweep attaches as a remote submitter and
-        its spawned workers connect to the same address."""
-        broker_cache = DiskStageCache(tmp_path / "broker")
-        with BrokerServer("127.0.0.1", 0, TOKEN, broker_cache) as server:
-            executor = DistributedExecutor(broker=server.address, token=TOKEN)
-            results = compile_many(
-                GRID[:2], jobs=2, executor=executor,
-                cache=DiskStageCache(tmp_path / "submitter"),
-            )
-            assert [r.system.k for r in results] == [1, 2]
-            # the standing broker's cache is the one that warmed
-            assert broker_cache.stats()["disk_entries"] > 0
+    def test_spawned_workers_get_an_executor_owned_cache_tier(
+        self, monkeypatch
+    ):
+        """Spawned workers must be handed a --cache-dir under the
+        executor's temp root (reaping sends SIGTERM, so a worker-side
+        mkdtemp would leak its directory on every sweep), and the broker
+        token by environment, never on the command line."""
+        import subprocess
 
-    def test_spawned_workers_get_an_executor_owned_cache_tier(self):
-        """Spawned TCP workers must be handed a --cache-dir under the
-        executor's temp root: reaping sends SIGTERM, so a worker-side
-        mkdtemp would leak its directory on every sweep."""
-        executor = DistributedExecutor(listen=("127.0.0.1", 0), token=TOKEN)
-        try:
-            executor._set_tcp_spawn_plan(("127.0.0.1", 1))
-            argv_tail, _, _ = executor._spawn_plan
-            cache_dir = argv_tail[argv_tail.index("--cache-dir") + 1]
-            assert cache_dir.startswith(executor._tmp_worker_root)
-        finally:
-            executor.cleanup()
-        assert not os.path.exists(os.path.dirname(cache_dir))
+        from repro.flow.nettransport import TOKEN_ENV
 
-    def test_mode_flags_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(SystemGenerationError, match="one queue mode"):
-            DistributedExecutor(
-                queue_dir=tmp_path, listen=("127.0.0.1", 0), token=TOKEN
-            )
+        spawned = []
+        real_popen = subprocess.Popen
+
+        def spy(argv, **kwargs):
+            spawned.append((argv, kwargs["env"]))
+            return real_popen(argv, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", spy)
+        compile_many(GRID[:1], executor=DistributedExecutor())
+        ((argv, env),) = spawned
+        cache_dir = argv[argv.index("--cache-dir") + 1]
+        assert env[TOKEN_ENV] and env[TOKEN_ENV] not in argv
+        assert not os.path.exists(os.path.dirname(cache_dir))  # cleaned up
+
+    def test_broker_flag_points_to_the_service_executor(self, capsys):
+        """A sweep no longer attaches to a standing broker with
+        --executor distributed: that is the service executor's job."""
+        from repro.flow.cli import main
+
+        rc = main(["--app", "helmholtz", "--sweep", "1x1",
+                   "--executor", "distributed", "--broker", "127.0.0.1:1",
+                   "--token", TOKEN])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--executor service" in err and "worker --connect" in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
 
 class TestWorkerCliFailurePaths:
-    def test_missing_spool_dir_is_a_one_line_error(self, tmp_path, capsys):
-        from repro.flow.cli import main
-
-        rc = main(["worker", "--queue", str(tmp_path / "nope"),
-                   "--cache-dir", str(tmp_path / "cache")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "no spool directory" in err
-        assert "Traceback" not in err and err.count("\n") == 1
-
-    def test_queue_without_cache_dir_is_rejected(self, tmp_path, capsys):
-        from repro.flow.cli import main
-
-        (tmp_path / "spool").mkdir()
-        rc = main(["worker", "--queue", str(tmp_path / "spool")])
-        assert rc == 2
-        assert "--cache-dir" in capsys.readouterr().err
-
     def test_unreachable_broker_is_a_one_line_error(self, monkeypatch,
                                                     capsys):
         from repro.flow import nettransport
@@ -566,14 +538,6 @@ class TestWorkerCliFailurePaths:
         rc = main(["worker", "--connect", "127.0.0.1:1"])
         assert rc == 2
         assert "token" in capsys.readouterr().err
-
-    def test_queue_and_connect_are_mutually_exclusive(self, tmp_path):
-        from repro.flow.cli import build_worker_parser
-
-        with pytest.raises(SystemExit):
-            build_worker_parser().parse_args(
-                ["--queue", "q", "--connect", "h:1"]
-            )
 
 
 class TestBrokerCli:

@@ -541,13 +541,24 @@ class TestTenantNamespaces:
             server.close()
 
     def test_tenant_token_cannot_drive_the_transport(self, tmp_path):
-        """The worker/supervisor surface is primary-token only: a tenant
-        token must not claim another tenant's queued points (leaking its
-        source), forge a completion, or steal in-flight results."""
+        """The worker surface is primary-token only: a tenant token must
+        not claim another tenant's queued points (leaking its source),
+        beat or forge a completion, or unregister a worker.  The old
+        remote-supervisor ops are gone for every token."""
         server = start_service_broker(
             "127.0.0.1", 0, TOKEN, DiskStageCache(tmp_path / "cache"),
             tmp_path / "service", poll_seconds=0.01,
             tenants={"alice": "alice-secret", "mallory": "mallory-secret"},
+        )
+        removed_ops = (
+            {"op": "put_job", "message": {"id": "x-00000"}},
+            {"op": "take_result", "id": "x-00000"},
+            {"op": "expired_leases", "lease_seconds": 0.0},
+            {"op": "release", "id": "x-00000"},
+            {"op": "cancel_pending", "ids": ["x-00000"]},
+            {"op": "batch_done", "id": "x-00000"},
+            {"op": "mark_batch_done", "batch": "x"},
+            {"op": "alive_workers", "stale_seconds": 60.0},
         )
         try:
             with ServiceClient(server.address, "alice-secret") as alice:
@@ -559,14 +570,13 @@ class TestTenantNamespaces:
                 try:
                     for blocked in (
                         lambda: mallory.claim_job(),
+                        lambda: mallory.heartbeat_job(pid),
                         lambda: mallory.complete(pid, {"forged": True}),
-                        lambda: mallory.take_result(pid),
-                        lambda: mallory.expired_leases(0.0),
-                        lambda: mallory.release(pid),
-                        lambda: mallory.cancel_pending({pid}),
-                        lambda: mallory.mark_batch_done(job.job_id),
-                        lambda: mallory.batch_done(pid),
-                        lambda: mallory.alive_workers(60.0),
+                        lambda: mallory.unregister_worker("w1"),
+                        *(
+                            (lambda r=request: mallory._call(r))
+                            for request in removed_ops
+                        ),
                     ):
                         with pytest.raises(
                             SystemGenerationError,
@@ -575,14 +585,19 @@ class TestTenantNamespaces:
                             blocked()
                 finally:
                     mallory.close()
-                # alice's point survived every probe, queued for a real
-                # (primary-token) worker, stamped with her namespace
                 primary = TcpTransport(server.address, TOKEN).connect()
                 try:
+                    for request in removed_ops:
+                        with pytest.raises(
+                            SystemGenerationError, match="unknown op"
+                        ):
+                            primary._call(request)
+                    # alice's point survived every probe, queued for a
+                    # real (primary-token) worker, stamped with her
+                    # namespace
                     message = primary.claim_job()
                     assert message is not None and message["id"] == pid
                     assert message["namespace"] == "alice"
-                    primary.release(message["id"])
                 finally:
                     primary.close()
                 alice.cancel(job.job_id)
@@ -658,6 +673,40 @@ class TestServiceExecutor:
             revived.client.close()
         finally:
             server.close()
+
+    def test_fail_fast_stops_starting_points(self, tmp_path):
+        """Without return_exceptions the first failed point raises, and
+        the broker ends the job there: points not yet started on the
+        single worker never run."""
+        from repro.errors import CFDlangSyntaxError
+
+        server = start_service_broker(
+            "127.0.0.1", 0, TOKEN, DiskStageCache(tmp_path / "cache"),
+            tmp_path / "service", poll_seconds=0.01,
+        )
+        worker = threading.Thread(
+            target=run_tcp_worker,
+            args=(server.address, TOKEN, tmp_path / "worker"),
+            kwargs={"poll_seconds": 0.005},
+        )
+        worker.start()
+        try:
+            points = [("not CFDlang", None)] + [
+                (HELMHOLTZ_DSL, FlowOptions(system=SystemOptions(k=k, m=m)))
+                for k in (1, 2, 4, 8) for m in (1, 2)
+            ]
+            with pytest.raises(CFDlangSyntaxError):
+                compile_many(points, executor=ServiceExecutor(
+                    broker=server.address, token=TOKEN, poll_seconds=0.02
+                ))
+            (job,) = server.service._jobs.values()
+            status = server.service.status(job.job_id)
+            assert status["state"] == "failed"
+            assert status["done_points"] <= 4 < status["total"]
+        finally:
+            server.close()
+            worker.join(timeout=30.0)
+        assert not worker.is_alive()
 
     def test_bare_service_executor_is_an_actionable_error(self):
         with pytest.raises(SystemGenerationError, match="broker"):
