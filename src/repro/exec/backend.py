@@ -44,7 +44,7 @@ class FunctionalRecord:
 
     Produced by the ``simulate`` stage when an execution backend is
     selected (:attr:`~repro.flow.options.SystemOptions.exec_backend`)
-    and surfaced through :class:`~repro.flow.pipeline.FlowResult.
+    and surfaced through :class:`~repro.flow.session.FlowResult.
     functional` and the flow trace metrics.
     """
 

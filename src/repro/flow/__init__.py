@@ -8,8 +8,11 @@ k x m system assembly on a board -> end-to-end performance simulation.
 The last two stages are parameterized by :class:`SystemOptions`, so k/m/
 board/workload sweeps re-run only them.
 
-:func:`compile_flow` runs everything in one shot.  :class:`Flow` is the
-session API: ``run_until``/``override``/``resume`` for partial runs and
+:func:`compile_any` runs everything in one shot, for a single kernel
+(returning a :class:`FlowResult`) or a multi-kernel :class:`Program`
+(returning a :class:`ProgramResult`; :func:`compile_program` takes
+programs only).  :class:`Flow` is the session API:
+``run_until``/``override``/``resume`` for partial runs and
 intermediate inspection, with a content-keyed :class:`StageCache` so
 design-space sweeps reuse the shared front end, and a :class:`FlowTrace`
 recording per-stage timing and cache behavior.  :func:`compile_many`
@@ -25,11 +28,9 @@ and ``ServiceExecutor`` runs it on a standing broker.
 """
 
 from repro.flow.options import FlowOptions, SystemOptions
-from repro.flow.pipeline import FlowResult, compile_flow
 from repro.flow.program import (
     FusionPlan,
     Program,
-    ProgramFlow,
     ProgramKernel,
     ProgramResult,
     compile_any,
@@ -39,6 +40,7 @@ from repro.flow.program import (
 from repro.flow.solver import SolverLoop, SolverResult, SolverStep
 from repro.flow.session import (
     Flow,
+    FlowResult,
     FlowTrace,
     StageEvent,
     compile_many,
@@ -92,10 +94,8 @@ __all__ = [
     "FlowOptions",
     "SystemOptions",
     "FlowResult",
-    "compile_flow",
     "Program",
     "ProgramKernel",
-    "ProgramFlow",
     "ProgramResult",
     "compile_program",
     "compile_any",

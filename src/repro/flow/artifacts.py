@@ -10,7 +10,7 @@ import pathlib
 from typing import Dict, Optional
 
 from repro.codegen.pyemit import generate_python_kernel
-from repro.flow.pipeline import FlowResult
+from repro.flow.session import FlowResult
 from repro.system.hdl import emit_system_hdl
 from repro.system.host import emit_cpp_binding, emit_fortran_binding, emit_host_code
 

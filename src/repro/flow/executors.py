@@ -83,7 +83,7 @@ Job = Tuple[object, Optional[FlowOptions]]
 class ExecutorContext:
     """Everything a backend needs to run one batch.
 
-    ``outcomes`` slots are :class:`~repro.flow.pipeline.FlowResult`
+    ``outcomes`` slots are :class:`~repro.flow.session.FlowResult`
     (:class:`~repro.flow.program.ProgramResult` for multi-kernel program
     points) or the exception the point raised.  ``fail_fast`` is the shared
     early-exit contract: once any point has failed, a backend stops

@@ -44,7 +44,7 @@ from repro.cfdlang.printer import print_program
 from repro.cfdlang.sema import analyze
 from repro.errors import SystemGenerationError
 from repro.flow.options import FlowOptions
-from repro.flow.session import Flow, FlowTrace
+from repro.flow.session import Flow, FlowResult, FlowTrace
 from repro.flow.store import CacheBackend, SingleFlight, StageCache
 from repro.teil.fuse import FusedKernel, fuse_functions
 from repro.teil.program import Function
@@ -426,17 +426,17 @@ def _auto_compatible(
 
 @dataclass
 class ProgramResult:
-    """Per-kernel :class:`~repro.flow.pipeline.FlowResult`\\ s of one
+    """Per-kernel :class:`~repro.flow.session.FlowResult`\\ s of one
     compiled program, in kernel order."""
 
     program: Program
-    results: Dict[str, "FlowResult"]
+    results: Dict[str, FlowResult]
     #: the plan the program compiled under (None: no fusion requested)
     fusion: Optional[FusionPlan] = None
     #: fused-group records keyed by the composite kernel's name
     fused: Dict[str, FusedKernel] = field(default_factory=dict)
 
-    def __getitem__(self, kernel_name: str) -> "FlowResult":
+    def __getitem__(self, kernel_name: str) -> FlowResult:
         try:
             return self.results[kernel_name]
         except KeyError:
@@ -512,87 +512,6 @@ class ProgramResult:
         return table + ("\n" + "\n".join(notes) if notes else "")
 
 
-class ProgramFlow:
-    """One compilation session over every kernel of a :class:`Program`.
-
-    All kernels share the session's cache, trace, and single-flight
-    coordinator; each compiles under ``options.for_kernel(name)``, so
-    only the generated function name differs between them.
-    """
-
-    def __init__(
-        self,
-        program: Program,
-        options: Optional[FlowOptions] = None,
-        *,
-        cache: Optional[CacheBackend] = None,
-        trace: Optional[FlowTrace] = None,
-        flight: Optional[SingleFlight] = None,
-    ) -> None:
-        self.program = program.validate()
-        self.options = options or FlowOptions()
-        self.cache = cache if cache is not None else StageCache()
-        self.trace = trace
-        self.flight = flight
-
-    def _kernel_flow(self, kernel: ProgramKernel) -> Flow:
-        return Flow(
-            kernel.source,
-            self.options.for_kernel(kernel.name),
-            cache=self.cache,
-            trace=self.trace,
-            flight=self.flight,
-        )
-
-    def run(self) -> ProgramResult:
-        if self.options.fusion is None:
-            results: Dict[str, "FlowResult"] = {}
-            for kernel in self.program.kernels:
-                results[kernel.name] = self._kernel_flow(kernel).run()
-            return ProgramResult(program=self.program, results=results)
-        return self._run_fused()
-
-    def _run_fused(self) -> ProgramResult:
-        # per-kernel front end first — identical flows (and so identical
-        # parse/analyze/lower cache keys) to an unfused compile, which is
-        # what lets fused and unfused sessions share front-end entries
-        flows = {
-            kernel.name: self._kernel_flow(kernel).run_until("lower")
-            for kernel in self.program.kernels
-        }
-        functions = {name: flow["function"] for name, flow in flows.items()}
-        plan = FusionPlan.resolve(
-            self.options.fusion,
-            self.program,
-            functions,
-            keep=self.options.fusion_keep,
-        )
-        results: Dict[str, "FlowResult"] = {}
-        fused: Dict[str, FusedKernel] = {}
-        for unit in plan.units(self.program):
-            if isinstance(unit, str):
-                results[unit] = flows[unit].resume()
-                continue
-            fk = fuse_functions(
-                [functions[m] for m in unit],
-                name=FusionPlan.group_name(unit),
-                keep_outputs=plan.keep_for(unit, self.program, functions),
-            )
-            flow = Flow.from_function(
-                fk.function,
-                self.options.for_kernel(fk.function.name),
-                cache=self.cache,
-                trace=self.trace,
-                flight=self.flight,
-                fingerprint=fk.fingerprint(),
-            )
-            results[fk.function.name] = flow.run()
-            fused[fk.function.name] = fk
-        return ProgramResult(
-            program=self.program, results=results, fusion=plan, fused=fused
-        )
-
-
 def compile_program(
     program: Union[Program, str],
     options: Optional[FlowOptions] = None,
@@ -601,17 +520,68 @@ def compile_program(
     trace: Optional[FlowTrace] = None,
     flight: Optional[SingleFlight] = None,
 ) -> ProgramResult:
-    """Compile every kernel of a program through the staged flow.
+    """Compile every kernel of a program as one flow session.
 
-    This is the primary compile entry point; ``compile_flow`` is a
-    single-kernel shim over it.  Accepts a :class:`Program` or its
-    :meth:`~Program.to_text` serialization.
+    Accepts a :class:`Program` or its :meth:`~Program.to_text`
+    serialization; :func:`compile_any` also takes single kernels.  All
+    kernels share the session's cache, trace and single-flight
+    coordinator; each compiles under ``options.for_kernel(name)``, so
+    only the generated function name differs between them.
     """
     if isinstance(program, str):
         program = Program.from_text(program)
-    return ProgramFlow(
-        program, options, cache=cache, trace=trace, flight=flight
-    ).run()
+    program = program.validate()
+    options = options or FlowOptions()
+    cache = cache if cache is not None else StageCache()
+
+    def session(source, name: str) -> Flow:
+        return Flow(
+            source,
+            options.for_kernel(name),
+            cache=cache,
+            trace=trace,
+            flight=flight,
+        )
+
+    results: Dict[str, FlowResult] = {}
+    if options.fusion is None:
+        for kernel in program.kernels:
+            results[kernel.name] = session(kernel.source, kernel.name).run()
+        return ProgramResult(program=program, results=results)
+    # per-kernel front end first — identical flows (and so identical
+    # parse/analyze/lower cache keys) to an unfused compile, which is
+    # what lets fused and unfused sessions share front-end entries
+    flows = {
+        kernel.name: session(kernel.source, kernel.name).run_until("lower")
+        for kernel in program.kernels
+    }
+    functions = {name: flow["function"] for name, flow in flows.items()}
+    plan = FusionPlan.resolve(
+        options.fusion, program, functions, keep=options.fusion_keep
+    )
+    fused: Dict[str, FusedKernel] = {}
+    for unit in plan.units(program):
+        if isinstance(unit, str):
+            results[unit] = flows[unit].resume()
+            continue
+        fk = fuse_functions(
+            [functions[m] for m in unit],
+            name=FusionPlan.group_name(unit),
+            keep_outputs=plan.keep_for(unit, program, functions),
+        )
+        flow = Flow.from_function(
+            fk.function,
+            options.for_kernel(fk.function.name),
+            cache=cache,
+            trace=trace,
+            flight=flight,
+            fingerprint=fk.fingerprint(),
+        )
+        results[fk.function.name] = flow.run()
+        fused[fk.function.name] = fk
+    return ProgramResult(
+        program=program, results=results, fusion=plan, fused=fused
+    )
 
 
 def compile_any(
@@ -621,13 +591,14 @@ def compile_any(
     cache: Optional[CacheBackend] = None,
     trace: Optional[FlowTrace] = None,
     flight: Optional[SingleFlight] = None,
-) -> Union["FlowResult", ProgramResult]:
-    """Compile any flow input: single-kernel sources run one
-    :class:`~repro.flow.session.Flow`; programs (objects or program
-    text) run :func:`compile_program`.  This is the dispatch point the
-    executor ladder uses, so program jobs flow through every backend —
-    thread, process, distributed, service — without those backends
-    knowing the difference.
+) -> Union[FlowResult, ProgramResult]:
+    """Compile any flow input in one shot: single-kernel sources (DSL
+    text or a CFDlang AST) run one :class:`~repro.flow.session.Flow` and
+    return its :class:`~repro.flow.session.FlowResult`; programs (objects
+    or program text) run :func:`compile_program`.  This is the dispatch
+    point the executor ladder uses, so program jobs flow through every
+    backend — thread, process, distributed, service — without those
+    backends knowing the difference.
     """
     if isinstance(source, Program) or is_program_text(source):
         return compile_program(

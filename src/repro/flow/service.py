@@ -838,7 +838,7 @@ class SweepJob:
 
     def fetch(self) -> List[object]:
         """Per-point outcomes in point order: each slot a
-        :class:`~repro.flow.pipeline.FlowResult`, the exception the
+        :class:`~repro.flow.session.FlowResult`, the exception the
         point raised, or None for a point a cancel kept from running."""
         return [
             None if payload is None else payload.get("outcome")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SystemGenerationError
 from repro.flow.options import FlowOptions
@@ -35,13 +35,29 @@ from repro.flow.stages import (
     FINAL_STAGE,
     STAGE_API_VERSION,
     Stage,
+    assemble_system,
     get_stage,
     kernel_fingerprint,
     producer_of,
     registered_stages,
+    simulate_design,
     stage_names,
 )
 from repro.flow.store import CacheBackend, SingleFlight, StageCache, content_key
+
+if TYPE_CHECKING:
+    from repro.cfdlang import Program
+    from repro.codegen import KernelCode
+    from repro.exec.backend import FunctionalRecord
+    from repro.hls import HlsReport
+    from repro.memory import CompatibilityGraph
+    from repro.mnemosyne import MnemosyneConfig, PortClass
+    from repro.mnemosyne.hbm import BankingReport
+    from repro.mnemosyne.plm import MemorySubsystem
+    from repro.poly.schedule import PolyProgram
+    from repro.sim.simulator import SimulationResult
+    from repro.system.integration import SystemDesign, TransferFootprint
+    from repro.teil.program import Function
 
 
 @dataclass(frozen=True)
@@ -185,6 +201,86 @@ class FlowTrace:
         return out
 
 
+@dataclass
+class FlowResult:
+    """All artifacts of one flow run, as :meth:`Flow.run` assembles them.
+
+    ``system``/``sim`` are the products of the ``build-system`` and
+    ``simulate`` registry stages (parameterized by
+    :class:`~repro.flow.options.SystemOptions`); ``system`` is None when
+    auto-sizing found no feasible configuration on the target board.
+    """
+
+    options: FlowOptions
+    #: the analyzed CFDlang AST; None for function-seeded sessions (a
+    #: fused group has no single source AST — see ``Flow.from_function``)
+    program: Optional["Program"]
+    function: "Function"
+    poly: "PolyProgram"
+    kernel: "KernelCode"
+    compat: "CompatibilityGraph"
+    mnemosyne_config: "MnemosyneConfig"
+    memory: "MemorySubsystem"
+    hls: "HlsReport"
+    port_classes: Dict[str, "PortClass"]
+    system: Optional["SystemDesign"] = None
+    sim: Optional["SimulationResult"] = None
+    #: throughput record of the simulate stage's functional batch (only
+    #: when :attr:`SystemOptions.exec_backend` selected a backend)
+    functional: Optional["FunctionalRecord"] = None
+    #: tensor -> HBM pseudo-channel report of the ``bank-assign`` stage
+    #: (only when :attr:`SystemOptions.memory_model` is ``"hbm"``)
+    banking: Optional["BankingReport"] = None
+
+    def transfer_footprint(self) -> "TransferFootprint":
+        """Per-element streamed and one-time static interface traffic."""
+        from repro.system.integration import transfer_footprint
+
+        return transfer_footprint(self.function, self.port_classes)
+
+    def build_system(
+        self, k: Optional[int] = None, m: Optional[int] = None
+    ) -> "SystemDesign":
+        """The flow's system, or one assembled for an explicit (k, m).
+
+        With no arguments this returns the ``build-system`` stage's
+        artifact: the configuration :class:`SystemOptions` asked for, or
+        the maximum-parallelism one when it left k/m unset.  An explicit
+        (k, m) differing from that artifact is assembled fresh.
+        """
+        if self.system is not None and (
+            (k is None and m is None) or (k, m) == (self.system.k, self.system.m)
+        ):
+            return self.system
+        return assemble_system(
+            self.hls,
+            self.memory,
+            self.function,
+            self.port_classes,
+            self.options,
+            k,
+            m,
+        )
+
+    def simulate(
+        self, n_elements: int, k: Optional[int] = None, m: Optional[int] = None
+    ) -> "SimulationResult":
+        """Simulate under the flow's options (transfer strategy included);
+        matching requests reuse the ``simulate`` stage's artifact."""
+        if (
+            self.sim is not None
+            and k is None
+            and m is None
+            and self.sim.n_elements == n_elements
+        ):
+            return self.sim
+        system = self.build_system(k, m)
+        # the banking report is sized for the flow's own system; any other
+        # (k, m) would need a re-assignment
+        banking = self.banking if system is self.system else None
+        return simulate_design(system, n_elements, self.options, banking)
+
+
 _override_counter = 0
 
 #: the flow's key digest is the store's (content-addressed backends and
@@ -195,11 +291,11 @@ _digest = content_key
 class Flow:
     """One staged compilation session over a (source, options) pair.
 
-    ``run()`` executes everything and returns a
-    :class:`~repro.flow.pipeline.FlowResult`; ``run_until(name)`` stops
-    after the named stage, leaving intermediate artifacts in :attr:`state`
-    for inspection.  ``override(key=value)`` replaces an artifact and
-    invalidates everything downstream; ``resume()`` finishes the run.
+    ``run()`` executes everything and returns a :class:`FlowResult`;
+    ``run_until(name)`` stops after the named stage, leaving intermediate
+    artifacts in :attr:`state` for inspection.  ``override(key=value)``
+    replaces an artifact and invalidates everything downstream;
+    ``resume()`` finishes the run.
     """
 
     def __init__(
@@ -444,14 +540,12 @@ class Flow:
                 break
         return self
 
-    def resume(self) -> "FlowResult":
+    def resume(self) -> FlowResult:
         """Finish the pipeline from wherever it stopped and build the result."""
         return self.run()
 
-    def run(self) -> "FlowResult":
+    def run(self) -> FlowResult:
         """Execute the full pipeline and assemble a :class:`FlowResult`."""
-        from repro.flow.pipeline import FlowResult
-
         self.run_until(FINAL_STAGE)
         functional = self.state.get("functional")
         if functional is not None and self.trace is not None:
@@ -512,15 +606,15 @@ def compile_many(
     trace: Optional[FlowTrace] = None,
     return_exceptions: bool = False,
     executor: Union[str, "Executor", None] = None,
-) -> List["FlowResult"]:
+) -> List[FlowResult]:
     """Compile a batch of design points against one shared stage cache.
 
     Each point is a CFDlang source (text or AST), a multi-kernel
     :class:`~repro.flow.program.Program` (or its text serialization), or
     a ``(source, options)`` pair.  Results come back in point order —
-    :class:`~repro.flow.pipeline.FlowResult` per single-kernel point,
-    :class:`~repro.flow.program.ProgramResult` per program point.  All points share
-    ``cache`` (a fresh in-memory one by default; pass a
+    :class:`FlowResult` per single-kernel point,
+    :class:`~repro.flow.program.ProgramResult` per program point.  All
+    points share ``cache`` (a fresh in-memory one by default; pass a
     :class:`DiskStageCache` to reuse work across processes), so grids
     that vary only late parameters run the front end once per distinct
     program.

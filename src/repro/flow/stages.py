@@ -285,41 +285,75 @@ def _run_hls_synth(state, options):
     return {"hls": hls}
 
 
-def _run_build_system(state, options):
+def assemble_system(hls, memory, function, port_classes, options, k=None, m=None):
+    """Assemble one kernel's k x m system on the options' board.
+
+    With k and m both None the maximum-parallelism configuration is
+    chosen (Eq. 3).  Raises :class:`SystemGenerationError` when only one
+    of k/m is given or when the configuration does not fit the board.
+    The ``build-system`` stage and
+    :meth:`~repro.flow.session.FlowResult.build_system` both assemble
+    systems here.
+    """
     from repro.system.integration import build_system, transfer_footprint
     from repro.system.replicate import max_parallel_config
 
-    sys_opts = options.system
-    k, m = sys_opts.k, sys_opts.m
     if (k is None) != (m is None):
         raise SystemGenerationError("specify both k and m, or neither")
     board = options.resolved_board()
-    hls, memory = state["hls"], state["memory"]
     if k is None:
-        try:
-            choice = max_parallel_config(
-                hls.resources, memory, board, options.platform
-            )
-        except SystemGenerationError:
-            # auto-sizing on a design whose single kernel already exceeds
-            # the board: not an error for the flow as a whole — the system
-            # artifact is simply absent (explicit k/m still raise)
-            return {"system": None}
+        choice = max_parallel_config(
+            hls.resources, memory, board, options.platform
+        )
         k, m = choice.k, choice.m
-    footprint = transfer_footprint(state["function"], state["port_classes"])
-    return {
-        "system": build_system(
-            hls,
-            memory,
+    footprint = transfer_footprint(function, port_classes)
+    return build_system(
+        hls,
+        memory,
+        k,
+        m,
+        board=board,
+        platform=options.platform,
+        bytes_in_per_element=footprint.bytes_in_per_element,
+        bytes_out_per_element=footprint.bytes_out_per_element,
+        static_bytes=footprint.static_bytes,
+    )
+
+
+def simulate_design(system, n_elements, options, banking):
+    """Simulate ``system`` over ``n_elements`` under the options'
+    transfer strategy; ``banking`` is the HBM report sized for this
+    system's (k, m), or None for the board's DDR model."""
+    from repro.sim.simulator import simulate_system
+
+    return simulate_system(
+        system,
+        n_elements,
+        overlap_transfers=options.system.overlap_transfers,
+        banking=banking,
+    )
+
+
+def _run_build_system(state, options):
+    k, m = options.system.k, options.system.m
+    try:
+        system = assemble_system(
+            state["hls"],
+            state["memory"],
+            state["function"],
+            state["port_classes"],
+            options,
             k,
             m,
-            board=board,
-            platform=options.platform,
-            bytes_in_per_element=footprint.bytes_in_per_element,
-            bytes_out_per_element=footprint.bytes_out_per_element,
-            static_bytes=footprint.static_bytes,
         )
-    }
+    except SystemGenerationError:
+        if k is not None or m is not None:
+            raise
+        # auto-sizing on a design whose single kernel already exceeds
+        # the board: not an error for the flow as a whole — the system
+        # artifact is simply absent (explicit k/m still raise)
+        system = None
+    return {"system": system}
 
 
 def _run_functional_batch(state, options):
@@ -417,19 +451,14 @@ def _run_simulate(state, options):
         else None
     )
     system = state["system"]
-    if system is None:
-        return {"sim": None, "functional": functional}
-    from repro.sim.simulator import simulate_system
-
-    return {
-        "sim": simulate_system(
-            system,
-            options.system.n_elements,
-            overlap_transfers=options.system.overlap_transfers,
-            banking=state.get("banking"),
-        ),
-        "functional": functional,
-    }
+    sim = (
+        None
+        if system is None
+        else simulate_design(
+            system, options.system.n_elements, options, state.get("banking")
+        )
+    )
+    return {"sim": sim, "functional": functional}
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ class BankingReport:
     channels are exclusive (validated), so per-channel utilization is the
     owning tensor's striped share.  The report is what the simulate
     stage consults for HBM transfer timing and what
-    :class:`~repro.flow.pipeline.FlowResult` surfaces to users.
+    :class:`~repro.flow.session.FlowResult` surfaces to users.
     """
 
     board: str

@@ -235,6 +235,9 @@ class TestBankAssignStage:
         res = Flow(HELMHOLTZ_DSL, hbm_options()).run()
         again = res.simulate(res.sim.n_elements)
         assert again == res.sim
+        # the flow's own (k, m) given explicitly is the same design point
+        explicit = res.simulate(res.sim.n_elements, res.system.k, res.system.m)
+        assert explicit == res.sim
         other = res.simulate(5_000)
         assert other.transfer_cycles < res.sim.transfer_cycles
 

@@ -8,7 +8,7 @@ from repro.apps.helmholtz import (
     make_element_data,
     reference_inverse_helmholtz,
 )
-from repro.flow import compile_flow
+from repro.flow import compile_any
 from repro.sim import (
     simulate_software,
     simulate_system,
@@ -24,7 +24,7 @@ NE = 50_000
 
 @pytest.fixture(scope="module")
 def res():
-    return compile_flow(HELMHOLTZ_DSL)
+    return compile_any(HELMHOLTZ_DSL)
 
 
 class TestFig9:
