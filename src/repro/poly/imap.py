@@ -32,7 +32,9 @@ def _reindex(
     """Re-index a part's constraint columns into a wider positional system.
 
     ``col_map[j]`` gives the destination column of the part's column ``j``
-    (visible columns first, then its existential columns).
+    (visible columns first, then its existential columns).  Moving columns
+    keeps the part's rows normalized, so the results are built with
+    :meth:`BasicSet._from_normalized`.
     """
     if len(col_map) != part.width:
         raise PolyhedralError("column map arity mismatch")
@@ -131,7 +133,8 @@ class IMap:
             cmap = list(range(no, no + ni)) + list(range(no)) + list(
                 range(ni + no, p.width)
             )
-            parts.append(BasicSet(comb, _reindex(p, p.width, cmap), p.n_exists))
+            cons = _reindex(p, p.width, cmap)
+            parts.append(BasicSet._from_normalized(comb, cons, p.n_exists))
         return IMap(self.out_space, self.in_space, ISet(comb, parts))
 
     def compose(self, other: "IMap") -> "IMap":
@@ -162,7 +165,7 @@ class IMap:
                     + list(range(na + nc + nb + e1, width))
                 )
                 cons = _reindex(p1, width, cmap1) + _reindex(p2, width, cmap2)
-                out_parts.append(BasicSet(comb, cons, nb + e1 + e2))
+                out_parts.append(BasicSet._from_normalized(comb, cons, nb + e1 + e2))
         return IMap(other.in_space, self.out_space, ISet(comb, out_parts))
 
     def apply(self, s: BasicSet | ISet) -> ISet:
@@ -184,14 +187,16 @@ class IMap:
                 )
                 cmap_s = list(range(no, no + ni)) + list(range(no + ni + ep, width))
                 cons = _reindex(p, width, cmap_p) + _reindex(sp, width, cmap_s)
-                out_parts.append(BasicSet(out_space, cons, ni + ep + es))
+                out_parts.append(
+                    BasicSet._from_normalized(out_space, cons, ni + ep + es)
+                )
         return ISet(out_space, out_parts)
 
     def domain(self) -> ISet:
         ni, no = self.n_in, self.n_out
         space = Space(self.in_space.name, tuple(f"i{k}" for k in range(ni)))
         parts = [
-            BasicSet(
+            BasicSet._from_normalized(
                 space,
                 _reindex(
                     p,
@@ -214,7 +219,8 @@ class IMap:
                 + list(range(no))
                 + list(range(no + ni, p.width))
             )
-            parts.append(BasicSet(space, _reindex(p, p.width, cmap), ni + p.n_exists))
+            cons = _reindex(p, p.width, cmap)
+            parts.append(BasicSet._from_normalized(space, cons, ni + p.n_exists))
         return ISet(space, parts)
 
     def intersect_domain(self, s: BasicSet | ISet) -> "IMap":
@@ -230,7 +236,9 @@ class IMap:
                 cmap_p = list(range(ni + no + p.n_exists))
                 cmap_s = list(range(ni)) + list(range(ni + no + p.n_exists, width))
                 cons = _reindex(p, width, cmap_p) + _reindex(sp, width, cmap_s)
-                out_parts.append(BasicSet(comb, cons, p.n_exists + sp.n_exists))
+                out_parts.append(
+                    BasicSet._from_normalized(comb, cons, p.n_exists + sp.n_exists)
+                )
         return IMap(self.in_space, self.out_space, ISet(comb, out_parts))
 
     def intersect_range(self, s: BasicSet | ISet) -> "IMap":
@@ -246,7 +254,9 @@ class IMap:
                 cmap_p = list(range(ni + no + p.n_exists))
                 cmap_s = list(range(ni, ni + no)) + list(range(ni + no + p.n_exists, width))
                 cons = _reindex(p, width, cmap_p) + _reindex(sp, width, cmap_s)
-                out_parts.append(BasicSet(comb, cons, p.n_exists + sp.n_exists))
+                out_parts.append(
+                    BasicSet._from_normalized(comb, cons, p.n_exists + sp.n_exists)
+                )
         return IMap(self.in_space, self.out_space, ISet(comb, out_parts))
 
     def intersect(self, other: "IMap") -> "IMap":
@@ -280,7 +290,7 @@ class IMap:
                     + list(range(na + nc + nb + nd + e1, width))
                 )
                 cons = _reindex(p1, width, cmap1) + _reindex(p2, width, cmap2)
-                out_parts.append(BasicSet(comb, cons, e1 + e2))
+                out_parts.append(BasicSet._from_normalized(comb, cons, e1 + e2))
         in_sp = self.in_space.renamed("a_").concat(other.in_space.renamed("b_"), name="")
         out_sp = self.out_space.renamed("a_").concat(other.out_space.renamed("b_"), name="")
         return IMap(in_sp, out_sp, ISet(comb, out_parts))

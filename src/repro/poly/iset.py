@@ -15,13 +15,45 @@ Design notes
   box under a strided layout ``i -> 11 i + 5`` stays the strided set, not its
   convex hull).  FM elimination is used only for rational bounds and rational
   emptiness pre-checks, where over-approximation is sound.
+* One projection core, :func:`_project`, serves both: ``is_empty_rational``
+  projects onto no column and ``dim_bounds`` onto one.  Its rows are sparse
+  ``{col: coeff}`` dicts, since a relation's wide positional systems touch a
+  few columns per row.  It first removes every equality that mentions an
+  eliminated column by Gaussian substitution (unit pivots preferred), then
+  runs FM on the inequalities, each time eliminating the column with the
+  fewest lower x upper pairs.  Parallel inequalities collapse to the tightest
+  one, and an opposite pair whose constants sum below 0 ends the projection
+  at once as empty.
+* Every row a combination produces is divided by the gcd of its
+  coefficients, flooring an inequality's constant (integer tightening) and
+  rejecting an equality whose constant the gcd does not divide.  Divisions
+  are exact integer ``//``; a float would round large constants.  The
+  constraints a :class:`BasicSet` stores are tightened the same way once, by
+  its constructor; the operations that only permute or pad columns
+  (``intersect``, ``project_out``, ``project_onto``, ``rename_dims``,
+  ``with_space`` and the relation algebra in :mod:`repro.poly.imap`) reuse
+  them through :meth:`BasicSet._from_normalized`.
+* :func:`rational_empty` runs the core on a raw constraint list, so
+  ``ge_le`` prunes its lexicographic disjuncts before building a set for any.
 * ``is_empty()`` is exact: rational pre-check, then bounded integer search.
+  ``points()`` and the integer search re-project after each fixed value.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
+from itertools import compress, count
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import PolyhedralError
 from repro.poly.aff import AffExpr, AffTuple
@@ -29,174 +61,277 @@ from repro.poly.space import Space
 
 # A constraint is (coeffs, const, is_eq): sum(coeffs*x) + const >= 0  (or == 0)
 Constraint = Tuple[Tuple[int, ...], int, bool]
-
-
-def _gcd_many(values: Sequence[int]) -> int:
-    g = 0
-    for v in values:
-        g = math.gcd(g, abs(v))
-    return g
+# A sparse row of the projection core: ({col: coeff}, const), zero coeffs absent
+Row = Tuple[Dict[int, int], int]
 
 
 def _normalize_constraint(coeffs: Tuple[int, ...], const: int, eq: bool) -> Optional[Constraint]:
     """Canonicalize one constraint; None if trivially true; a constant-false
     marker ``(0...0, -1, False)`` if unsatisfiable."""
-    g = _gcd_many(coeffs)
-    zero = tuple(0 for _ in coeffs)
+    g = math.gcd(*coeffs)
     if g == 0:
         if eq:
-            return None if const == 0 else (zero, -1, False)
-        return None if const >= 0 else (zero, -1, False)
+            return None if const == 0 else (coeffs, -1, False)
+        return None if const >= 0 else (coeffs, -1, False)
+    if g == 1:
+        return (coeffs, const, eq)
     if eq:
         if const % g != 0:
-            return (zero, -1, False)  # no integer solution
+            return (tuple(0 for _ in coeffs), -1, False)  # no integer solution
         return (tuple(c // g for c in coeffs), const // g, True)
     # integer tightening: a.x + c >= 0  <=>  (a/g).x + floor(c/g) >= 0
-    return (tuple(c // g for c in coeffs), math.floor(const / g), False)
+    return (tuple(c // g for c in coeffs), const // g, False)
+
+
+class _Empty(Exception):
+    """Raised inside the projection core once a row proves the system empty."""
+
+
+def _reduced(row: Dict[int, int], const: int, eq: bool) -> Optional[Row]:
+    """Tighten a freshly combined row; None if it is trivially true."""
+    if not row:
+        if const < 0 or (eq and const):
+            raise _Empty
+        return None
+    g = math.gcd(*row.values())
+    if g > 1:
+        if eq and const % g:
+            raise _Empty
+        row = {c: v // g for c, v in row.items()}
+        const //= g
+    return row, const
+
+
+def _combine(r: Row, mr: int, s: Row, ms: int) -> Tuple[Dict[int, int], int]:
+    """``mr * r + ms * s`` with the cancelled coefficients dropped."""
+    row = {c: mr * v for c, v in r[0].items()}
+    for c, v in s[0].items():
+        t = row.get(c, 0) + ms * v
+        if t:
+            row[c] = t
+        else:
+            del row[c]
+    return row, mr * r[1] + ms * s[1]
+
+
+def _add_ineq(store: Dict[FrozenSet, Row], row: Row) -> None:
+    """Insert an inequality, keeping only the tightest of parallel rows."""
+    key = frozenset(row[0].items())
+    old = store.get(key)
+    if old is not None and old[1] <= row[1]:
+        return
+    opp = store.get(frozenset((c, -v) for c, v in row[0].items()))
+    if opp is not None and opp[1] + row[1] < 0:
+        raise _Empty  # a.x + c1 >= 0 and -a.x + c2 >= 0 need c1 + c2 >= 0
+    store[key] = row
+
+
+def _eliminate(r: Row, k: int, p: Row, eq: bool) -> Optional[Row]:
+    """Remove column k from row ``r`` with the equality ``p``."""
+    a, b = p[0][k], r[0][k]
+    return _reduced(*_combine(r, abs(a), p, -b if a > 0 else b), eq)
+
+
+# pivot column -> (age, column, equality row); an equality pivots on a column
+# once every older pivot column has been substituted out of it
+Pivots = Dict[int, Tuple[int, int, Row]]
+
+
+def _reduce_by(r: Row, pivots: Pivots, eq: bool) -> Optional[Row]:
+    """Substitute every pivot column out of ``r``, oldest pivot first.
+
+    A pivot row mentions only younger pivots' columns, so each pivot is
+    applied at most once.
+    """
+    while True:
+        due = [pivots[c] for c in r[0] if c in pivots]
+        if not due:
+            return r
+        _, k, p = min(due)
+        r = _eliminate(r, k, p, eq)
+        if r is None:
+            return None
+
+
+def _gauss(eqs: Iterable[Row], keep: FrozenSet[int]) -> Tuple[Pivots, List[Row]]:
+    """Solve the equalities for eliminable columns.
+
+    Returns the pivots and the equalities left over ``keep`` alone.  A row
+    with a unit coefficient on an eliminable column pivots there; the others
+    wait until every such row has pivoted, then pivot on their smallest
+    eliminable coefficient.
+    """
+    pivots: Pivots = {}
+    kept: List[Row] = []
+    hard: List[Row] = []
+    for first in (True, False):
+        for r in eqs if first else hard:
+            r = _reduce_by(r, pivots, True)
+            if r is None:
+                continue
+            cols = [(abs(v), c) for c, v in r[0].items() if c not in keep]
+            if not cols:
+                kept.append(r)
+                continue
+            size, k = min(cols)
+            if first and size != 1:
+                hard.append(r)
+            else:
+                pivots[k] = (len(pivots), k, r)
+    return pivots, kept
+
+
+def _project(
+    eqs: Sequence[Row], ineqs: Iterable[Row], keep: FrozenSet[int]
+) -> Optional[Tuple[List[Row], List[Row]]]:
+    """Rational projection, with integer tightening, onto the ``keep`` columns.
+
+    Returns the equalities and inequalities left over ``keep`` alone, or None
+    if the system is empty.  The input rows must be tightened; they are never
+    modified.
+    """
+    try:
+        pivots, eqs = _gauss(eqs, keep)
+        store: Dict[FrozenSet, Row] = {}
+        for r in ineqs:
+            r = _reduce_by(r, pivots, False)
+            if r is not None:
+                _add_ineq(store, r)
+        while True:
+            lower: Dict[int, int] = {}
+            upper: Dict[int, int] = {}
+            for row, _ in store.values():
+                for c, v in row.items():
+                    if c not in keep:
+                        side = lower if v > 0 else upper
+                        side[c] = side.get(c, 0) + 1
+            cols = lower.keys() | upper.keys()
+            if not cols:
+                return eqs, list(store.values())
+            k = min(cols, key=lambda c: (lower.get(c, 0) * upper.get(c, 0), c))
+            lows: List[Row] = []
+            ups: List[Row] = []
+            rest: Dict[FrozenSet, Row] = {}
+            for key, r in store.items():
+                v = r[0].get(k)
+                if v is None:
+                    rest[key] = r
+                else:
+                    (lows if v > 0 else ups).append(r)
+            store = rest
+            for lo in lows:
+                a = lo[0][k]
+                for up in ups:
+                    b = -up[0][k]
+                    g = math.gcd(a, b)
+                    r = _reduced(*_combine(lo, b // g, up, a // g), False)
+                    if r is not None:
+                        _add_ineq(store, r)
+    except _Empty:
+        return None
 
 
 class _RawSystem:
-    """A positional constraint system used for FM elimination (no spaces)."""
+    """Sparse constraint rows over absolute column ids (no spaces)."""
 
-    __slots__ = ("width", "cons", "false")
+    __slots__ = ("eqs", "ineqs", "false")
 
-    def __init__(self, width: int, cons: Sequence[Constraint]) -> None:
-        self.width = width
-        self.false = False
-        out: List[Constraint] = []
-        seen = set()
-        for coeffs, const, eq in cons:
-            n = _normalize_constraint(tuple(coeffs), const, eq)
-            if n is None:
-                continue
-            if all(c == 0 for c in n[0]) and n[1] < 0:
-                self.false = True
-            if n not in seen:
-                seen.add(n)
-                out.append(n)
-        self.cons = out
+    def __init__(self, eqs: List[Row], ineqs: List[Row], false: bool = False) -> None:
+        self.eqs = eqs
+        self.ineqs = ineqs
+        self.false = false
 
-    def eliminate(self, k: int) -> "_RawSystem":
-        """Rational FM elimination of column k."""
-        cons = self.cons
-        subst: Optional[Constraint] = None
-        for c in cons:
-            if c[2] and abs(c[0][k]) == 1:
-                subst = c
-                break
-        if subst is None:
-            for c in cons:
-                if c[2] and c[0][k] != 0:
-                    subst = c
-                    break
-        new_cons: List[Constraint] = []
-        if subst is not None:
-            a = subst[0][k]
-            s = 1 if a > 0 else -1
-            for c in cons:
-                if c is subst:
-                    continue
-                b = c[0][k]
-                if b == 0:
-                    new_cons.append(c)
-                    continue
-                coeffs = tuple(abs(a) * cc - s * b * sc for cc, sc in zip(c[0], subst[0]))
-                const = abs(a) * c[1] - s * b * subst[1]
-                new_cons.append((coeffs, const, c[2]))
-        else:
-            lowers, uppers = [], []
-            for c in cons:
-                a = c[0][k]
-                if a == 0:
-                    new_cons.append(c)
-                elif a > 0:
-                    lowers.append(c)
-                else:
-                    uppers.append(c)
-            for lc in lowers:
-                for uc in uppers:
-                    a, b = lc[0][k], -uc[0][k]
-                    coeffs = tuple(b * cl + a * cu for cl, cu in zip(lc[0], uc[0]))
-                    const = b * lc[1] + a * uc[1]
-                    new_cons.append((coeffs, const, False))
-        dropped = [(c[0][:k] + c[0][k + 1 :], c[1], c[2]) for c in new_cons]
-        return _RawSystem(self.width - 1, dropped)
+    @staticmethod
+    def from_constraints(constraints: Iterable[Constraint]) -> "_RawSystem":
+        """Sparse rows of normalized dense constraints."""
+        eqs: List[Row] = []
+        ineqs: List[Row] = []
+        for coeffs, const, eq in constraints:
+            row = dict(zip(compress(count(), coeffs), filter(None, coeffs)))
+            if row:
+                (eqs if eq else ineqs).append((row, const))
+            elif const < 0 or (eq and const):
+                return _RawSystem([], [], True)
+        return _RawSystem(eqs, ineqs)
+
+    def project(self, keep: FrozenSet[int]) -> Optional[Tuple[List[Row], List[Row]]]:
+        return None if self.false else _project(self.eqs, self.ineqs, keep)
+
+    def is_empty_rational(self) -> bool:
+        return self.project(frozenset()) is None
 
     def bounds_of(self, k: int) -> Tuple[Optional[int], Optional[int]]:
         """Rational bounds of column k after eliminating all others."""
-        sys = self
-        col = k
-        for _ in range(self.width - 1):
-            drop = 0 if col != 0 else 1
-            sys = sys.eliminate(drop)
-            if drop < col:
-                col -= 1
-            if sys.false:
-                return (1, 0)
+        proj = self.project(frozenset((k,)))
+        if proj is None:
+            return (1, 0)
+        eqs, ineqs = proj
         lo: Optional[int] = None
         hi: Optional[int] = None
-        for (a,), c, eq in sys.cons:
-            if a == 0:
-                continue
-            if eq:
-                if (-c) % a != 0:
-                    return (1, 0)
-                v = (-c) // a
-                lo = v if lo is None else max(lo, v)
-                hi = v if hi is None else min(hi, v)
-            elif a > 0:
-                b = math.ceil(-c / a)
+        for row, c in eqs:
+            v, r = divmod(-c, row[k])
+            if r:
+                return (1, 0)
+            lo = v if lo is None else max(lo, v)
+            hi = v if hi is None else min(hi, v)
+        for row, c in ineqs:
+            a = row[k]
+            if a > 0:  # x >= ceil(-c / a)
+                b = -(c // a)
                 lo = b if lo is None else max(lo, b)
-            else:
-                b = math.floor(c / -a)
+            else:  # x <= floor(c / -a)
+                b = c // -a
                 hi = b if hi is None else min(hi, b)
         return (lo, hi)
 
-    def is_empty_rational(self) -> bool:
-        sys = self
-        if sys.false:
-            return True
-        for _ in range(self.width):
-            sys = sys.eliminate(0)
-            if sys.false:
-                return True
-        return sys.false
-
     def fix(self, k: int, value: int) -> "_RawSystem":
-        cons = [
-            (c[0][:k] + c[0][k + 1 :], c[1] + c[0][k] * value, c[2]) for c in self.cons
-        ]
-        return _RawSystem(self.width - 1, cons)
+        def fixed(r: Row, eq: bool) -> Optional[Row]:
+            a = r[0].get(k)
+            if a is None:
+                return r
+            row = dict(r[0])
+            del row[k]
+            return _reduced(row, r[1] + a * value, eq)
 
-    def enumerate(self, n_visible: int, budget: List[int]) -> Iterator[Tuple[int, ...]]:
-        """Yield assignments to the first ``n_visible`` columns for which the
-        remaining (existential) columns are satisfiable."""
+        try:
+            eqs = [r for r in (fixed(r, True) for r in self.eqs) if r is not None]
+            ineqs = [r for r in (fixed(r, False) for r in self.ineqs) if r is not None]
+        except _Empty:
+            return _RawSystem([], [], True)
+        return _RawSystem(eqs, ineqs, self.false)
+
+    def enumerate(
+        self, visible: Sequence[int], exist: Sequence[int], budget: List[int]
+    ) -> Iterator[Tuple[int, ...]]:
+        """Yield assignments to the ``visible`` columns, in order, for which
+        the ``exist`` columns are satisfiable."""
         if self.false:
             return
-        if n_visible == 0:
-            if self._satisfiable(budget):
+        if not visible:
+            if self._satisfiable(exist, budget):
                 yield ()
             return
-        lo, hi = self.bounds_of(0)
+        col = visible[0]
+        lo, hi = self.bounds_of(col)
         if lo is None or hi is None:
             raise PolyhedralError("cannot enumerate unbounded dim")
         for v in range(lo, hi + 1):
             budget[0] -= 1
             if budget[0] < 0:
                 raise PolyhedralError("point enumeration budget exceeded")
-            sub = self.fix(0, v)
-            for rest in sub.enumerate(n_visible - 1, budget):
+            sub = self.fix(col, v)
+            for rest in sub.enumerate(visible[1:], exist, budget):
                 yield (v,) + rest
 
-    def _satisfiable(self, budget: List[int]) -> bool:
-        """Exact integer satisfiability of a system of existential columns."""
+    def _satisfiable(self, cols: Sequence[int], budget: List[int]) -> bool:
+        """Exact integer satisfiability over the remaining ``cols``."""
         if self.false:
             return False
-        if self.width == 0:
+        if not cols:
             return True
         if self.is_empty_rational():
             return False
-        lo, hi = self.bounds_of(0)
+        lo, hi = self.bounds_of(cols[0])
         if lo is None or hi is None:
             # Unbounded existential: rational non-empty + unbounded direction
             # means some integer point exists for our (box-derived) systems.
@@ -205,9 +340,15 @@ class _RawSystem:
             budget[0] -= 1
             if budget[0] < 0:
                 raise PolyhedralError("satisfiability budget exceeded")
-            if self.fix(0, v)._satisfiable(budget):
+            if self.fix(cols[0], v)._satisfiable(cols[1:], budget):
                 return True
         return False
+
+
+def rational_empty(constraints: Iterable[Constraint]) -> bool:
+    """Rational emptiness, with integer tightening, of normalized constraints
+    (lets a caller test a candidate before building a :class:`BasicSet`)."""
+    return _RawSystem.from_constraints(constraints).is_empty_rational()
 
 
 class BasicSet:
@@ -221,27 +362,38 @@ class BasicSet:
         constraints: Sequence[Constraint] = (),
         n_exists: int = 0,
     ) -> None:
-        self.space = space
-        self.n_exists = int(n_exists)
-        width = space.rank + self.n_exists
+        width = space.rank + int(n_exists)
         cons: List[Constraint] = []
-        self._known_empty = False
-        seen = set()
         for coeffs, const, eq in constraints:
             if len(coeffs) != width:
                 raise PolyhedralError(
                     f"constraint arity {len(coeffs)} != width {width} "
-                    f"(rank {space.rank} + {self.n_exists} existentials)"
+                    f"(rank {space.rank} + {int(n_exists)} existentials)"
                 )
             norm = _normalize_constraint(tuple(int(c) for c in coeffs), int(const), bool(eq))
-            if norm is None:
-                continue
-            if all(c == 0 for c in norm[0]) and norm[1] < 0:
-                self._known_empty = True
-            if norm not in seen:
-                seen.add(norm)
+            if norm is not None:
                 cons.append(norm)
-        self.constraints = tuple(cons)
+        self._init_normalized(space, cons, n_exists)
+
+    def _init_normalized(
+        self, space: Space, constraints: Iterable[Constraint], n_exists: int
+    ) -> None:
+        self.space = space
+        self.n_exists = int(n_exists)
+        self.constraints = tuple(dict.fromkeys(constraints))
+        # the constant-false marker is the only normalized all-zero row
+        self._known_empty = any(not any(c[0]) for c in self.constraints)
+
+    @classmethod
+    def _from_normalized(
+        cls, space: Space, constraints: Iterable[Constraint], n_exists: int = 0
+    ) -> "BasicSet":
+        """A set over constraints that are already normalized, such as a column
+        permutation or zero-padding of another set's: skips the per-row gcd
+        pass of the constructor."""
+        bs = cls.__new__(cls)
+        bs._init_normalized(space, constraints, n_exists)
+        return bs
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -282,21 +434,21 @@ class BasicSet:
         return self.space.rank + self.n_exists
 
     def _raw(self) -> _RawSystem:
-        return _RawSystem(self.width, self.constraints)
+        return _RawSystem.from_constraints(self.constraints)
 
     # -- predicates ------------------------------------------------------------
     def contains(self, point: Sequence[int], budget: int = 500_000) -> bool:
         if len(point) != self.rank:
             raise PolyhedralError("point rank mismatch")
         sys = self._raw()
-        for v in point:
-            sys = sys.fix(0, int(v))
-        return sys._satisfiable([budget])
+        for k, v in enumerate(point):
+            sys = sys.fix(k, int(v))
+        return sys._satisfiable(range(self.rank, self.width), [budget])
 
     def is_empty_rational(self) -> bool:
         if self._known_empty:
             return True
-        return self._raw().is_empty_rational()
+        return rational_empty(self.constraints)
 
     def is_empty(self, exact: bool = True, budget: int = 500_000) -> bool:
         if self.is_empty_rational():
@@ -304,7 +456,7 @@ class BasicSet:
         if not exact:
             return False
         try:
-            return not self._raw()._satisfiable([budget])
+            return not self._raw()._satisfiable(range(self.width), [budget])
         except PolyhedralError:
             return False  # budget exhausted: conservatively non-empty
 
@@ -330,14 +482,10 @@ class BasicSet:
             )
         n = self.rank
         ke, ko = self.n_exists, other.n_exists
-        cons: List[Constraint] = []
-        for coeffs, const, eq in self.constraints:
-            cons.append((coeffs + tuple(0 for _ in range(ko)), const, eq))
-        for coeffs, const, eq in other.constraints:
-            cons.append(
-                (coeffs[:n] + tuple(0 for _ in range(ke)) + coeffs[n:], const, eq)
-            )
-        return BasicSet(self.space, cons, ke + ko)
+        pad_self, pad_other = (0,) * ko, (0,) * ke
+        cons = [(c + pad_self, k, eq) for c, k, eq in self.constraints]
+        cons += [(c[:n] + pad_other + c[n:], k, eq) for c, k, eq in other.constraints]
+        return BasicSet._from_normalized(self.space, cons, ke + ko)
 
     def fix_dim(self, dim: str, value: int) -> "BasicSet":
         """Substitute a constant for one visible dim."""
@@ -351,13 +499,13 @@ class BasicSet:
 
     def rename_dims(self, mapping: Mapping[str, str]) -> "BasicSet":
         new_space = Space(self.space.name, tuple(mapping.get(d, d) for d in self.space.dims))
-        return BasicSet(new_space, self.constraints, self.n_exists)
+        return BasicSet._from_normalized(new_space, self.constraints, self.n_exists)
 
     def with_space(self, space: Space) -> "BasicSet":
         """Reinterpret visible dims over a same-rank space (positional)."""
         if space.rank != self.rank:
             raise PolyhedralError("with_space rank mismatch")
-        return BasicSet(space, self.constraints, self.n_exists)
+        return BasicSet._from_normalized(space, self.constraints, self.n_exists)
 
     # -- projection -------------------------------------------------------------
     def project_out(self, dims: Sequence[str]) -> "BasicSet":
@@ -373,7 +521,9 @@ class BasicSet:
         cons = [
             (tuple(c[0][p] for p in full_perm), c[1], c[2]) for c in self.constraints
         ]
-        return BasicSet(Space(self.space.name, tuple(keep)), cons, self.n_exists + len(names))
+        return BasicSet._from_normalized(
+            Space(self.space.name, tuple(keep)), cons, self.n_exists + len(names)
+        )
 
     def project_onto(self, dims: Sequence[str]) -> "BasicSet":
         """Keep only the named visible dims, in the given order."""
@@ -385,7 +535,9 @@ class BasicSet:
             cons = [
                 (tuple(c[0][p] for p in full_perm), c[1], c[2]) for c in out.constraints
             ]
-            out = BasicSet(Space(out.space.name, tuple(dims)), cons, out.n_exists)
+            out = BasicSet._from_normalized(
+                Space(out.space.name, tuple(dims)), cons, out.n_exists
+            )
         return out
 
     # -- bounds / enumeration ----------------------------------------------------
@@ -397,7 +549,8 @@ class BasicSet:
         """Enumerate integer points of the visible dims (exact)."""
         if self._known_empty:
             return iter(())
-        return self._raw().enumerate(self.rank, [limit])
+        visible, exist = range(self.rank), range(self.rank, self.width)
+        return self._raw().enumerate(visible, exist, [limit])
 
     def sample(self, budget: int = 500_000) -> Optional[Tuple[int, ...]]:
         """Find one visible point, or None if empty (within budget)."""

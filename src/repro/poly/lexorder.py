@@ -13,7 +13,7 @@ from typing import List, Sequence, Tuple
 
 from repro.errors import PolyhedralError
 from repro.poly.imap import IMap, _canonical_space, _reindex
-from repro.poly.iset import BasicSet, Constraint, ISet
+from repro.poly.iset import BasicSet, Constraint, ISet, rational_empty
 from repro.poly.space import anonymous
 
 
@@ -109,9 +109,9 @@ def ge_le(interval_map: IMap, n_sched: int) -> IMap:
         hi_disj = lex_le_disjuncts(width, t_off, r_off, n)  # t <= r
         for lo in lo_disj:
             for hi in hi_disj:
-                bs = BasicSet(comb, base + lo + hi, n_exists=2 * n + ep)
-                if not bs.is_empty_rational():
-                    out_parts.append(bs)
+                cons = base + lo + hi
+                if not rational_empty(cons):
+                    out_parts.append(BasicSet._from_normalized(comb, cons, 2 * n + ep))
     return IMap(interval_map.in_space, anonymous(n), ISet(comb, out_parts))
 
 

@@ -1,6 +1,10 @@
 """Unit tests for the integer-set core (spaces, affine exprs, sets)."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PolyhedralError
 from repro.poly.aff import AffExpr, AffTuple
@@ -114,6 +118,19 @@ class TestBasicSet:
         )
         assert b.is_empty()
 
+    def test_large_constants_are_exact(self):
+        big = 2**53 + 3  # float(big) rounds to big + 1
+        box = BasicSet.from_box(space("i"), [(big, big)])
+        assert list(box.points()) == [(big,)]
+        assert box.dim_bounds("i") == (big, big)
+        assert box.contains((big,))
+        # -2i + 2 big + 1 >= 0 tightens to i <= floor((2 big + 1) / 2) = big
+        b = BasicSet.from_box(space("i"), [(big - 1, big + 5)]).with_constraint(
+            AffExpr.var("i") * -2 + 2 * big + 1
+        )
+        assert b.dim_bounds("i") == (big - 1, big)
+        assert list(b.points()) == [(big - 1,), (big,)]
+
     def test_project_out(self):
         b = BasicSet.from_shape(space("i", "j"), (3, 7))
         p = b.project_out(["j"])
@@ -181,3 +198,60 @@ class TestISet:
         u = ISet.from_basic(BasicSet.from_box(s, [(0, 1)]))
         fn = AffTuple(s, (AffExpr.var("i") + 100,), Space("a", ("x",)))
         assert sorted(u.apply(fn).points()) == [(100,), (101,)]
+
+
+@st.composite
+def boxed_systems(draw):
+    """A random set over 1-3 visible and 0-2 existential dims, with every
+    column boxed inside [-2, 2] (so brute force is finite and the integer
+    search is exact) and up to three random equalities or inequalities."""
+    n_vis = draw(st.integers(1, 3))
+    n_exists = draw(st.integers(0, 2))
+    width = n_vis + n_exists
+    box = []
+    for _ in range(width):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        box.append((min(a, b), max(a, b)))
+    cons = []
+    for j, (lo, hi) in enumerate(box):
+        unit = tuple(int(i == j) for i in range(width))
+        cons.append((unit, -lo, False))
+        cons.append((tuple(-c for c in unit), hi, False))
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = tuple(draw(st.integers(-3, 3)) for _ in range(width))
+        cons.append((coeffs, draw(st.integers(-6, 6)), draw(st.booleans())))
+    bs = BasicSet(Space("o", tuple(f"x{i}" for i in range(n_vis))), cons, n_exists)
+    return bs, box, cons
+
+
+def satisfies(point, cons):
+    for coeffs, const, eq in cons:
+        v = sum(a * x for a, x in zip(coeffs, point)) + const
+        if v < 0 or (eq and v):
+            return False
+    return True
+
+
+def brute_points(rank, box, cons):
+    """Visible points of the system, by testing every point of the box."""
+    boxed = itertools.product(*(range(lo, hi + 1) for lo, hi in box))
+    return {full[:rank] for full in boxed if satisfies(full, cons)}
+
+
+class TestProjectionOracle:
+    """The Fourier-Motzkin core against brute-force enumeration."""
+
+    @given(boxed_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_brute_force(self, system):
+        bs, box, cons = system
+        expected = brute_points(bs.rank, box, cons)
+        if bs.is_empty_rational():
+            assert not expected
+        assert bs.is_empty() == (not expected)
+        for k, dim in enumerate(bs.space.dims):
+            lo, hi = bs.dim_bounds(dim)
+            for p in expected:
+                assert lo is None or lo <= p[k]
+                assert hi is None or p[k] <= hi
+        assert set(bs.points()) == expected
