@@ -22,9 +22,11 @@ from repro.apps.preconditioner import (
     reference_preconditioner,
 )
 from repro.apps.workloads import (
+    SUITE_PROGRAMS,
     WORKLOAD_SUITES,
     Workload,
     make_workload,
+    suite_program,
 )
 
 __all__ = [
@@ -41,5 +43,7 @@ __all__ = [
     "reference_gradient",
     "Workload",
     "WORKLOAD_SUITES",
+    "SUITE_PROGRAMS",
     "make_workload",
+    "suite_program",
 ]

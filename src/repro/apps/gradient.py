@@ -13,11 +13,12 @@ the references below use the same layout.
 
 from __future__ import annotations
 
-from typing import Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple
 
 from repro.cfdlang import Program, ProgramBuilder
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def gradient_program(n: int = 8) -> Program:
@@ -37,6 +38,8 @@ def gradient_program(n: int = 8) -> Program:
 def reference_gradient(
     Dm: np.ndarray, u: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    import numpy as np
+
     gx = np.einsum("al,ljk->ajk", Dm, u)
     gy = np.einsum("am,imk->aik", Dm, u)
     gz = np.einsum("an,ijn->aij", Dm, u)
@@ -45,6 +48,8 @@ def reference_gradient(
 
 def chebyshev_diff_matrix(n: int) -> np.ndarray:
     """Chebyshev collocation differentiation matrix (Trefethen's formula)."""
+    import numpy as np
+
     if n == 1:
         return np.zeros((1, 1))
     x = np.cos(np.pi * np.arange(n) / (n - 1))

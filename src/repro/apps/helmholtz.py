@@ -11,11 +11,12 @@ number of nodes per dimension), with ``n = 11`` reproducing the paper.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.cfdlang import Program, ProgramBuilder, analyze, parse_program
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Verbatim DSL source of the paper's Fig. 1.
 HELMHOLTZ_DSL = """\
@@ -66,6 +67,8 @@ def reference_inverse_helmholtz(
     S: np.ndarray, D: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
     """Golden NumPy implementation straight from Eq. 1a-1c."""
+    import numpy as np
+
     t = np.einsum("il,jm,kn,lmn->ijk", S, S, S, u)
     r = D * t
     return np.einsum("li,mj,nk,lmn->ijk", S, S, S, r)
@@ -80,6 +83,8 @@ def make_element_data(
     ``D`` a positive diagonal factor field; ``u`` a smooth-ish state.
     Values do not affect timing/resources, only functional checks.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     data: Dict[str, np.ndarray] = {
         "S": rng.standard_normal((n, n)) / np.sqrt(n) + np.eye(n),

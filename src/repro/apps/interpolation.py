@@ -9,9 +9,12 @@ Inverse Helmholtz (Sec. II-A).  With an interpolation matrix ``I`` of shape
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.cfdlang import Program, ProgramBuilder
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def interpolation_program(n: int = 8, q: int = 12) -> Program:
@@ -25,12 +28,16 @@ def interpolation_program(n: int = 8, q: int = 12) -> Program:
 
 
 def reference_interpolation(I: np.ndarray, u: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     return np.einsum("al,bm,cn,lmn->abc", I, I, I, u)
 
 
 def lagrange_interpolation_matrix(n: int, q: int) -> np.ndarray:
     """Lagrange basis evaluation from ``n`` Chebyshev nodes to ``q`` uniform
     points — a realistic SEM interpolation operator for the examples."""
+    import numpy as np
+
     nodes = np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))
     targets = np.linspace(-1.0, 1.0, q)
     I = np.empty((q, n))

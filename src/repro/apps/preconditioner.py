@@ -10,11 +10,12 @@ contraction-heavy operators in SEM solvers.
 
 from __future__ import annotations
 
-from typing import Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple
 
 from repro.cfdlang import Program, ProgramBuilder
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def preconditioner_program(n: int = 8) -> Program:
@@ -37,6 +38,8 @@ def reference_preconditioner(
 
 
 def make_preconditioner_data(n: int = 8, seed: int = 0) -> Tuple[dict, np.ndarray]:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     data = {
         "r": rng.standard_normal((n, n, n)),

@@ -26,9 +26,7 @@ sharing across programs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict
 
 from repro.apps.gradient import chebyshev_diff_matrix
 from repro.apps.helmholtz import inverse_helmholtz_program
@@ -36,6 +34,9 @@ from repro.apps.interpolation import lagrange_interpolation_matrix
 from repro.cfdlang import Program as CfdlangAst, ProgramBuilder
 from repro.errors import SystemGenerationError
 from repro.flow.program import Program
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def gradient_kernel(n: int, state: str = "u") -> CfdlangAst:
@@ -104,23 +105,47 @@ def _helmholtz_operands(
 ) -> Dict[str, np.ndarray]:
     # mirrors apps.helmholtz.make_element_data: a well-conditioned
     # spectral operator and a positive factor field
+    import numpy as np
+
     return {
         "S": rng.standard_normal((n, n)) / np.sqrt(n) + np.eye(n),
         "D": 0.5 + rng.random((n, n, n)),
     }
 
 
-def smoother_workload(
-    n: int = 8, n_elements: int = 4, seed: int = 2021
-) -> Workload:
-    rng = np.random.default_rng(seed)
-    program = (
+def smoother_program(n: int = 8) -> Program:
+    return (
         Program("smoother")
         .add_kernel("helmholtz", inverse_helmholtz_program(n))
         .add_kernel("update", update_kernel(n))
     )
+
+
+def helmholtz_gradient_program(n: int = 8) -> Program:
+    return (
+        Program("helmholtz-gradient")
+        .add_kernel("helmholtz", inverse_helmholtz_program(n))
+        .add_kernel("gradient", gradient_kernel(n, state="v"))
+    )
+
+
+def fem_cfd_program(n: int = 8, q: int = 0) -> Program:
+    return (
+        Program("fem-cfd")
+        .add_kernel("interpolate", interpolation_kernel(n, q or n + 2))
+        .add_kernel("helmholtz", inverse_helmholtz_program(n))
+        .add_kernel("gradient", gradient_kernel(n, state="u"))
+    )
+
+
+def smoother_workload(
+    n: int = 8, n_elements: int = 4, seed: int = 2021
+) -> Workload:
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
     return Workload(
-        program=program,
+        program=smoother_program(n),
         carry={"w": "u"},
         elements={"u": _element_state(n, n_elements, rng)},
         static=_helmholtz_operands(n, rng),
@@ -130,16 +155,13 @@ def smoother_workload(
 def helmholtz_gradient_workload(
     n: int = 8, n_elements: int = 4, seed: int = 2021
 ) -> Workload:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
-    program = (
-        Program("helmholtz-gradient")
-        .add_kernel("helmholtz", inverse_helmholtz_program(n))
-        .add_kernel("gradient", gradient_kernel(n, state="v"))
-    )
     static = _helmholtz_operands(n, rng)
     static["Dm"] = chebyshev_diff_matrix(n)
     return Workload(
-        program=program,
+        program=helmholtz_gradient_program(n),
         elements={"u": _element_state(n, n_elements, rng)},
         static=static,
     )
@@ -148,23 +170,26 @@ def helmholtz_gradient_workload(
 def fem_cfd_workload(
     n: int = 8, n_elements: int = 4, seed: int = 2021, q: int = 0
 ) -> Workload:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     q = q or n + 2
-    program = (
-        Program("fem-cfd")
-        .add_kernel("interpolate", interpolation_kernel(n, q))
-        .add_kernel("helmholtz", inverse_helmholtz_program(n))
-        .add_kernel("gradient", gradient_kernel(n, state="u"))
-    )
     static = _helmholtz_operands(n, rng)
     static["I"] = lagrange_interpolation_matrix(n, q)
     static["Dm"] = chebyshev_diff_matrix(n)
     return Workload(
-        program=program,
+        program=fem_cfd_program(n, q),
         elements={"u": _element_state(n, n_elements, rng)},
         static=static,
     )
 
+
+#: suite name -> the builder of its program alone (no element data)
+SUITE_PROGRAMS: Dict[str, Callable[[int], Program]] = {
+    "smoother": smoother_program,
+    "helmholtz-gradient": helmholtz_gradient_program,
+    "fem-cfd": fem_cfd_program,
+}
 
 WORKLOAD_SUITES: Dict[str, Callable[..., Workload]] = {
     "smoother": smoother_workload,
@@ -173,15 +198,25 @@ WORKLOAD_SUITES: Dict[str, Callable[..., Workload]] = {
 }
 
 
-def make_workload(
-    suite: str, n: int = 8, n_elements: int = 4, seed: int = 2021
-) -> Workload:
-    """Build a named workload suite (see :data:`WORKLOAD_SUITES`)."""
+def _suite_entry(table: Dict[str, Callable], suite: str) -> Callable:
     try:
-        factory = WORKLOAD_SUITES[suite]
+        return table[suite]
     except KeyError:
         raise SystemGenerationError(
             f"unknown workload suite {suite!r}; suites are: "
             f"{', '.join(WORKLOAD_SUITES)}"
         ) from None
+
+
+def suite_program(suite: str, n: int = 8) -> Program:
+    """The program of a named suite, without generating its element data
+    (so compiling a suite never imports NumPy)."""
+    return _suite_entry(SUITE_PROGRAMS, suite)(n)
+
+
+def make_workload(
+    suite: str, n: int = 8, n_elements: int = 4, seed: int = 2021
+) -> Workload:
+    """Build a named workload suite (see :data:`WORKLOAD_SUITES`)."""
+    factory = _suite_entry(WORKLOAD_SUITES, suite)
     return factory(n=n, n_elements=n_elements, seed=seed)

@@ -8,15 +8,16 @@ accumulator transformation, address expressions) without a C toolchain.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional
 
 from repro.codegen.kernel import StagePlan, stage_plans
 from repro.errors import IRError
 from repro.layout.layout import Layout
 from repro.poly.aff import AffTuple
 from repro.poly.schedule import PolyProgram
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _EWISE_PY = {"*": "*", "/": "/", "+": "+", "-": "-"}
 
@@ -94,6 +95,8 @@ def pack_array(flat: np.ndarray, layout: Layout, arr: np.ndarray) -> None:
     ``(shape, layout)`` — see :func:`repro.layout.layout.
     flat_index_array`) instead of an ``np.ndindex`` Python loop.
     """
+    import numpy as np
+
     flat[layout.flat_indices().reshape(-1)] = np.ascontiguousarray(arr).reshape(-1)
 
 
@@ -106,6 +109,8 @@ def run_python_kernel(
     prog: PolyProgram, inputs: Mapping[str, np.ndarray], name: str = "kernel_body"
 ) -> Dict[str, np.ndarray]:
     """Allocate flat buffers, run the generated Python kernel, reshape outputs."""
+    import numpy as np
+
     fn = prog.function
     kernel = compile_python_kernel(generate_python_kernel(prog, name), name)
     buffers: Dict[str, np.ndarray] = {}

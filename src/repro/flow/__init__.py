@@ -27,6 +27,8 @@ over TCP (:mod:`repro.flow.nettransport`) with no shared mount at all,
 and ``ServiceExecutor`` runs it on a standing broker.
 """
 
+import importlib
+
 from repro.flow.options import FlowOptions, SystemOptions
 from repro.flow.program import (
     FusionPlan,
@@ -37,7 +39,6 @@ from repro.flow.program import (
     compile_program,
     is_program_text,
 )
-from repro.flow.solver import SolverLoop, SolverResult, SolverStep
 from repro.flow.session import (
     Flow,
     FlowResult,
@@ -63,32 +64,49 @@ from repro.flow.executors import (
     executor_names,
     get_executor,
 )
-from repro.flow.distributed import (
-    BrokerUnreachableError,
-    DistributedExecutor,
-    Transport,
-    TransportClosedError,
-    WorkerCrashError,
-    run_worker,
-)
-from repro.flow.nettransport import (
-    BrokerAuthError,
-    BrokerServer,
-    MemoryTransport,
-    RemoteStageCache,
-    TcpTransport,
-    run_tcp_worker,
-)
-from repro.flow.service import (
-    BrokerBusyError,
-    JobService,
-    ServiceClient,
-    ServiceExecutor,
-    SweepJob,
-    UnknownJobError,
-    attach_job,
-)
 from repro.flow.artifacts import write_artifacts
+
+#: names resolved on first access, so a single compile imports neither
+#: NumPy (the solver) nor the broker, transport and service stack
+_LAZY = {
+    "repro.flow.solver": ("SolverLoop", "SolverResult", "SolverStep"),
+    "repro.flow.distributed": (
+        "BrokerUnreachableError",
+        "DistributedExecutor",
+        "Transport",
+        "TransportClosedError",
+        "WorkerCrashError",
+        "run_worker",
+    ),
+    "repro.flow.nettransport": (
+        "BrokerAuthError",
+        "BrokerServer",
+        "MemoryTransport",
+        "RemoteStageCache",
+        "TcpTransport",
+        "run_tcp_worker",
+    ),
+    "repro.flow.service": (
+        "BrokerBusyError",
+        "JobService",
+        "ServiceClient",
+        "ServiceExecutor",
+        "SweepJob",
+        "UnknownJobError",
+        "attach_job",
+    ),
+}
+_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY_OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "FlowOptions",

@@ -617,18 +617,23 @@ def build_program_parser() -> argparse.ArgumentParser:
 
 
 def _program_main(argv) -> int:
-    from repro.apps.workloads import make_workload
-    from repro.exec.programs import run_chain_batch
+    from repro.apps.workloads import make_workload, suite_program
     from repro.flow.program import Program, compile_program
 
     args = build_program_parser().parse_args(argv)
+    if args.exec_backend and not args.suite:
+        print("error: --exec-backend needs --suite: a program file "
+              "carries no element data to run on", file=sys.stderr)
+        return 2
     workload = None
     try:
-        if args.suite:
+        if args.exec_backend:
             workload = make_workload(
                 args.suite, n=args.degree, n_elements=args.functional_ne
             )
             program = workload.program
+        elif args.suite:
+            program = suite_program(args.suite, n=args.degree)
         elif args.source:
             with open(args.source) as f:
                 program = Program.from_text(f.read())
@@ -650,12 +655,10 @@ def _program_main(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(result.summary())
-    if args.exec_backend:
-        if workload is None:
-            print("error: --exec-backend needs --suite: a program file "
-                  "carries no element data to run on", file=sys.stderr)
-            return 2
+    if workload is not None:
         import time as _time
+
+        from repro.exec.programs import run_chain_batch
 
         t0 = _time.perf_counter()
         outputs = run_chain_batch(

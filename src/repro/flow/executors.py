@@ -40,14 +40,12 @@ counters, so a sweep reads the same regardless of backend.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import shutil
 import tempfile
 import threading
 from concurrent.futures import (
     CancelledError,
-    ProcessPoolExecutor,
     ThreadPoolExecutor,
     as_completed,
 )
@@ -372,6 +370,10 @@ class ProcessExecutor:
         mid-task must cost *its* point an exception slot, not abort the
         loop and abandon every other point's outcome.
         """
+        # the process pool loads only when a process sweep runs
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         broken: List[int] = []
         workers = min(max(1, context.workers), len(indices))
         failed = False

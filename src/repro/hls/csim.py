@@ -7,14 +7,15 @@ of Vivado's csim + cosim functional checks.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Mapping
 
 from repro.codegen.pyemit import run_python_kernel
 from repro.errors import HLSError
 from repro.poly.schedule import PolyProgram
 from repro.teil.interp import interpret
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def csim_kernel(
@@ -27,6 +28,8 @@ def csim_kernel(
 
     Returns the outputs; raises :class:`HLSError` on mismatch.
     """
+    import numpy as np
+
     got = run_python_kernel(prog, inputs)
     ref = interpret(prog.function, inputs)
     for name, arr in ref.items():

@@ -4,15 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 from repro.errors import LayoutError
 from repro.poly.aff import AffExpr, AffTuple
 from repro.poly.iset import BasicSet
 from repro.poly.space import Space
 from repro.utils import prod
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -142,6 +143,8 @@ def flat_index_array(
     The result is cached (layouts repeat across kernels and elements) and
     marked read-only so cache sharing is safe.
     """
+    import numpy as np
+
     idx = np.full(shape, offset, dtype=np.intp)
     for axis, (extent, stride) in enumerate(zip(shape, strides)):
         coords = np.arange(extent, dtype=np.intp) * stride

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-import networkx as nx
-
 from repro.memory.liveness import ArrayLiveness, stage_liveness
 from repro.poly.schedule import PolyProgram
 
@@ -40,20 +38,8 @@ class CompatibilityGraph:
     def interface_compatible(self, a: str, b: str) -> bool:
         return frozenset((a, b)) in self.interface_edges
 
-    def as_networkx(self, kind: str = "address") -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(self.arrays)
-        edges = (
-            self.address_space_edges if kind == "address" else self.interface_edges
-        )
-        for e in edges:
-            a, b = tuple(e)
-            g.add_edge(a, b)
-        return g
-
     def clique_groups(self) -> List[Tuple[str, ...]]:
         """Deterministic greedy clique cover of the address-space graph."""
-        g = self.as_networkx("address")
         remaining = sorted(self.arrays, key=lambda a: (-self.sizes[a], a))
         groups: List[Tuple[str, ...]] = []
         used: Set[str] = set()
@@ -65,7 +51,7 @@ class CompatibilityGraph:
             for b in remaining:
                 if b in used:
                     continue
-                if all(g.has_edge(b, m) for m in group):
+                if all(self.address_space_compatible(b, m) for m in group):
                     group.append(b)
                     used.add(b)
             groups.append(tuple(group))

@@ -20,9 +20,7 @@ disjointness makes this legal — Sec. V-A2).
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Tuple
-
-import networkx as nx
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import MemoryArchitectureError
 from repro.mnemosyne.bram import PortClass, brams_for_unit
@@ -65,17 +63,87 @@ def _merge_saving(config: MnemosyneConfig, a: str, b: str) -> int:
     return alone - merged
 
 
+_EXACT_MATCHING_LIMIT = 20  # bitmask DP beyond this is too slow; greedy fallback
+
+
+def max_weight_matching(
+    nodes: Sequence[str], weights: Dict[Tuple[str, str], int]
+) -> List[Tuple[str, str]]:
+    """A maximum-weight matching of the graph whose positive-weight edges
+    are ``weights`` (``(a, b) -> w`` with ``a`` before ``b`` in ``nodes``).
+
+    Exact when at most ``_EXACT_MATCHING_LIMIT`` nodes carry an edge: a
+    bitmask DP over the set of still-unmatched nodes, which either leaves
+    its lowest node alone or pairs it with a later neighbour.  Among
+    equal-weight matchings the first one met wins, pairing a node with its
+    earliest neighbour before leaving it unmatched.  Beyond the limit it
+    falls back to a greedy matching (heaviest edge first, ties in node
+    order), which is valid but not always optimal.  Pairs come back in
+    node order.
+    """
+    ends = {a for edge in weights for a in edge}
+    live = [a for a in nodes if a in ends]
+    if len(live) > _EXACT_MATCHING_LIMIT:
+        order = {a: i for i, a in enumerate(nodes)}
+        matched: set = set()
+        pairs = []
+        for (a, b), _ in sorted(
+            weights.items(), key=lambda kv: (-kv[1], order[kv[0][0]], order[kv[0][1]])
+        ):
+            if a not in matched and b not in matched:
+                matched.update((a, b))
+                pairs.append((a, b))
+        return sorted(pairs, key=lambda p: order[p[0]])
+
+    n = len(live)
+    idx = {a: i for i, a in enumerate(live)}
+    neighbours: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for (a, b), w in weights.items():
+        neighbours[idx[a]].append((idx[b], w))
+    for row in neighbours:
+        row.sort()
+    memo: Dict[int, Tuple[int, int]] = {0: (0, 0)}
+
+    def best(mask: int) -> Tuple[int, int]:
+        """(weight, chosen partner bit or 0) of the best matching on mask."""
+        if mask in memo:
+            return memo[mask]
+        low = mask & -mask
+        rest = mask ^ low
+        top, choice = -1, 0
+        for j, w in neighbours[low.bit_length() - 1]:
+            if rest >> j & 1:
+                total = w + best(rest ^ (1 << j))[0]
+                if total > top:
+                    top, choice = total, 1 << j
+        skip = best(rest)[0]
+        if skip > top:
+            top, choice = skip, 0
+        memo[mask] = (top, choice)
+        return memo[mask]
+
+    pairs = []
+    mask = (1 << n) - 1
+    while mask:
+        low = mask & -mask
+        partner = best(mask)[1]
+        if partner:
+            pairs.append((live[low.bit_length() - 1], live[partner.bit_length() - 1]))
+        mask ^= low | partner
+    return pairs
+
+
 def _share_matching(config: MnemosyneConfig) -> List[Tuple[str, ...]]:
-    g = nx.Graph()
-    g.add_nodes_from(config.arrays)
+    """Pairwise merges by maximum-weight matching, weights = BRAM savings."""
+    order = {a: i for i, a in enumerate(config.arrays)}
+    weights: Dict[Tuple[str, str], int] = {}
     for e in config.address_space_edges:
-        a, b = sorted(e)
+        a, b = sorted(e, key=order.__getitem__)
         w = _merge_saving(config, a, b)
         if w > 0:
-            g.add_edge(a, b, weight=w)
-    matching = nx.max_weight_matching(g, maxcardinality=False)
+            weights[(a, b)] = w
     paired = {}
-    for a, b in matching:
+    for a, b in max_weight_matching(config.arrays, weights):
         paired[a] = b
         paired[b] = a
     groups: List[Tuple[str, ...]] = []

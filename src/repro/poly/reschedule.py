@@ -63,27 +63,39 @@ class RescheduleOptions:
             )
 
 
+#: a statement dependence weighed for the cost: (bytes(tensor), producer, consumer)
+_WeightedDep = Tuple[int, str, str]
+
+
+def _weighted(prog: PolyProgram, deps) -> List[_WeightedDep]:
+    decls = prog.function.decls
+    return [(decls[d.tensor].n_bytes, d.producer, d.consumer) for d in deps]
+
+
+def _distance_cost(
+    deps: Sequence[_WeightedDep], stage: Dict[str, int], spread: bool = False
+) -> float:
+    """Sum of bytes x stage distance (its absolute value with ``spread``)."""
+    total = 0.0
+    for nbytes, producer, consumer in deps:
+        dist = stage[consumer] - stage[producer]
+        total += nbytes * (abs(dist) if spread else dist)
+    return total
+
+
+def _stages(prog: PolyProgram) -> Dict[str, int]:
+    return {s.name: prog.stage_of(s) for s in prog.statements}
+
+
 def raw_cost(prog: PolyProgram) -> float:
     """Live-interval proxy: sum of bytes x stage-distance over RAW edges."""
-    total = 0.0
-    for dep in statement_raw_deps(prog):
-        dist = prog.stage_of(prog.statement(dep.consumer)) - prog.stage_of(
-            prog.statement(dep.producer)
-        )
-        total += prog.function.decls[dep.tensor].n_bytes * dist
-    return total
+    return _distance_cost(_weighted(prog, statement_raw_deps(prog)), _stages(prog))
 
 
 def rar_cost(prog: PolyProgram) -> float:
     """RAR coincidence: smaller stage spread between co-readers is better."""
-    total = 0.0
-    for dep in statement_rar_pairs(prog):
-        d = abs(
-            prog.stage_of(prog.statement(dep.consumer))
-            - prog.stage_of(prog.statement(dep.producer))
-        )
-        total += prog.function.decls[dep.tensor].n_bytes * d
-    return total
+    deps = _weighted(prog, statement_rar_pairs(prog))
+    return _distance_cost(deps, _stages(prog), spread=True)
 
 
 def schedule_cost(prog: PolyProgram, options: RescheduleOptions) -> float:
@@ -92,40 +104,60 @@ def schedule_cost(prog: PolyProgram, options: RescheduleOptions) -> float:
 
 def _choose_statement_order(prog: PolyProgram, options: RescheduleOptions) -> PolyProgram:
     names = [s.name for s in prog.statements]
+    raw_deps = statement_raw_deps(prog)
     edges: Dict[str, List[str]] = {n: [] for n in names}
-    for dep in statement_raw_deps(prog):
+    for dep in raw_deps:
         edges[dep.producer].append(dep.consumer)
+    # the dependences do not change with the order: weigh them once, then
+    # score each candidate (stage = position) exactly as schedule_cost does
+    raw = _weighted(prog, raw_deps)
+    rar = _weighted(prog, statement_rar_pairs(prog))
     best = None
     for order in stable_topo_orders(names, edges, limit=options.max_orders):
-        cand = with_statement_order(prog, order)
-        cost = schedule_cost(cand, options)
+        stage = {name: i for i, name in enumerate(order)}
+        cost = _distance_cost(raw, stage) + options.rar_weight * _distance_cost(
+            rar, stage, spread=True
+        )
         key = (cost, order)
-        if best is None or key < best[0]:
-            best = (key, cand)
+        if best is None or key < best:
+            best = key
     assert best is not None, "no legal statement order (dependence cycle?)"
-    return best[1]
+    return with_statement_order(prog, best[1])
 
 
-def innermost_stride(prog: PolyProgram, stmt: PolyStatement, perm: Sequence[int]) -> List[int]:
-    """Stride of each access w.r.t. the innermost loop under ``perm``.
+def _stride_table(prog: PolyProgram, stmt: PolyStatement) -> List[Tuple[int, ...]]:
+    """Address stride of each access (write first, then reads) along each
+    loop dim: the coefficients of ``Layout.aff ∘ access``.
 
-    Stride 0 means loop-invariant (fine: a register); 1 means consecutive.
+    The address map does not depend on the loop order, so one table
+    scores every candidate permutation of the statement.
     """
-    inner_dim = stmt.loop_dims[perm[-1]]
-    strides: List[int] = []
+    table: List[Tuple[int, ...]] = []
     for acc in (stmt.write, *stmt.reads):
         layout = prog.layouts[acc.tensor]
         dim_names = tuple(f"x{i}" for i in range(len(layout.shape)))
         addr = layout.aff(dim_names).compose(acc.fn)  # loop dims -> address
-        strides.append(addr.exprs[0].coeff(inner_dim))
-    return strides
+        table.append(tuple(addr.exprs[0].coeff(d) for d in stmt.loop_dims))
+    return table
+
+
+def innermost_stride(
+    prog: PolyProgram, stmt: PolyStatement, perm: Sequence[int]
+) -> List[int]:
+    """Stride of each access w.r.t. the innermost loop under ``perm``.
+
+    Stride 0 means loop-invariant (fine: a register); 1 means consecutive.
+    """
+    return [row[perm[-1]] for row in _stride_table(prog, stmt)]
 
 
 def _consecutivity_cost(
-    prog: PolyProgram, stmt: PolyStatement, perm: Sequence[int], placement: str
+    stmt: PolyStatement,
+    strides: Sequence[Tuple[int, ...]],
+    perm: Sequence[int],
+    placement: str,
 ) -> Tuple[int, int]:
-    strides = innermost_stride(prog, stmt, perm)
-    bad = sum(1 for s in strides if s not in (0, 1))
+    bad = sum(1 for row in strides if row[perm[-1]] not in (0, 1))
     nd = len(stmt.loop_dims)
     if not stmt.is_reduction or placement == "free":
         return (bad, 0)
@@ -145,9 +177,12 @@ def _choose_loop_orders(prog: PolyProgram, options: RescheduleOptions) -> PolyPr
         nd = len(s.loop_dims)
         if nd <= 1 or nd > 6:
             continue
+        strides = _stride_table(prog, s)
         best = None
         for perm in permutations(range(nd)):
-            bad, red = _consecutivity_cost(out, s, perm, options.reduction_placement)
+            bad, red = _consecutivity_cost(
+                s, strides, perm, options.reduction_placement
+            )
             # Reduction placement dominates: PLMs are BRAMs with single-cycle
             # random access, so stride only breaks ties, but a misplaced
             # reduction limits the achievable II (or forbids the register

@@ -24,8 +24,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import SimulationError
 from repro.system.platform_data import DEFAULT_PLATFORM, PlatformModel
 from repro.teil.ops import Contraction, Ewise, EwiseKind
@@ -116,6 +114,8 @@ def measured_sw_seconds_per_element(
     unavailable — e.g. no C compiler in the environment — so model-only
     callers like the Fig. 10 benchmark degrade gracefully.
     """
+    import numpy as np
+
     from repro.exec import get_backend
 
     b = get_backend(backend)

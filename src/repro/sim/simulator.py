@@ -16,14 +16,15 @@ functional checks of multi-element batches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.sim.cpu import CpuModel, simulate_software
 from repro.system.host import HostModel
 from repro.system.integration import SystemDesign
 from repro.teil.program import Function
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import string
 from functools import lru_cache
-from typing import Dict, Mapping, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Mapping, Tuple
 
 from repro.errors import IRError
 from repro.teil.ops import Contraction, Ewise, EwiseKind
 from repro.teil.program import Function
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @lru_cache(maxsize=None)
@@ -67,12 +68,16 @@ def _contraction_path(
     op: Contraction, shapes: Tuple[Tuple[int, ...], ...]
 ) -> list:
     """The planned (reusable) contraction order for these operand shapes."""
+    import numpy as np
+
     dummies = [np.broadcast_to(np.float64(0.0), s) for s in shapes]
     path, _ = np.einsum_path(_einsum_spec(op), *dummies, optimize="optimal")
     return path
 
 
 def eval_contraction(op: Contraction, env: Mapping[str, np.ndarray]) -> np.ndarray:
+    import numpy as np
+
     operands = [env[o] for o in op.operands]
     if len(operands) <= 2:
         # nothing to plan for 1-2 operands; skip the path-cache lookup
@@ -99,6 +104,8 @@ def interpret(fn: Function, inputs: Mapping[str, np.ndarray]) -> Dict[str, np.nd
 
     Raises :class:`IRError` on missing/mis-shaped inputs.
     """
+    import numpy as np
+
     env: Dict[str, np.ndarray] = {}
     for d in fn.inputs():
         if d.name not in inputs:

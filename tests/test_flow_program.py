@@ -7,7 +7,7 @@ from repro.apps.helmholtz import (
     inverse_helmholtz_program,
     inverse_helmholtz_source,
 )
-from repro.apps.workloads import WORKLOAD_SUITES, make_workload
+from repro.apps.workloads import WORKLOAD_SUITES, make_workload, suite_program
 from repro.errors import (
     CFDlangSyntaxError,
     SystemGenerationError,
@@ -357,6 +357,25 @@ class TestCli:
 
     def test_program_verb_no_input(self, capsys):
         assert cli_main(["program"]) == 2
+
+    def test_program_file_exec_backend_rejected_before_compiling(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "prog.cfdp"
+        path.write_text(make_workload("smoother", n=N).program.to_text())
+        rc = cli_main(["program", str(path), "--exec-backend", "numpy"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "--exec-backend needs --suite" in captured.err
+        # nothing compiled: no program summary reached stdout
+        assert captured.out == ""
+
+    def test_suite_program_matches_workload_program(self):
+        for suite in WORKLOAD_SUITES:
+            built = suite_program(suite, n=N)
+            assert built.to_text() == make_workload(suite, n=N).program.to_text()
+        with pytest.raises(SystemGenerationError, match="unknown workload suite"):
+            suite_program("nope")
 
     def test_solve_verb_cross_step_guard(self, capsys):
         rc = cli_main([

@@ -4,7 +4,13 @@ The headline numbers (Sec. VI): 31 BRAMs per kernel without sharing, 18
 with sharing enabled, and 9 + 24 = 33 when temporaries stay inside HLS.
 """
 
+import itertools
+import random
+
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.helmholtz import inverse_helmholtz_program
 from repro.errors import MemoryArchitectureError
@@ -19,7 +25,11 @@ from repro.mnemosyne import (
     port_class_assignment,
 )
 from repro.mnemosyne.config import build_config
-from repro.mnemosyne.sharing import sharing_report
+from repro.mnemosyne.sharing import (
+    _EXACT_MATCHING_LIMIT,
+    max_weight_matching,
+    sharing_report,
+)
 from repro.poly.reschedule import reschedule
 from repro.poly.schedule import reference_schedule
 from repro.teil import canonicalize, lower_program
@@ -151,3 +161,100 @@ class TestSharing:
         )
         assert mem_brams == 9
         assert acc_brams + mem_brams == 33  # paper Sec. VI
+
+
+@st.composite
+def weighted_graphs(draw, max_nodes=12):
+    """``(nodes, {(a, b): w})`` with ``a`` before ``b`` in ``nodes``."""
+    n = draw(st.integers(0, max_nodes))
+    nodes = [f"a{i}" for i in range(n)]
+    weights = {}
+    for a, b in itertools.combinations(nodes, 2):
+        if draw(st.booleans()):
+            weights[(a, b)] = draw(st.integers(1, 8))
+    return nodes, weights
+
+
+def networkx_weight(nodes, weights) -> int:
+    g = nx.Graph()
+    g.add_nodes_from(nodes)
+    for (a, b), w in weights.items():
+        g.add_edge(a, b, weight=w)
+    matching = nx.max_weight_matching(g, maxcardinality=False)
+    return sum(g[a][b]["weight"] for a, b in matching)
+
+
+def assert_valid_matching(nodes, weights, pairs):
+    seen = [a for pair in pairs for a in pair]
+    assert len(seen) == len(set(seen)), pairs
+    assert all(pair in weights for pair in pairs), pairs
+    order = {a: i for i, a in enumerate(nodes)}
+    assert [order[a] for a, _ in pairs] == sorted(order[a] for a, _ in pairs)
+
+
+class TestMaxWeightMatching:
+    """The bitmask DP against networkx's blossom algorithm (the oracle)."""
+
+    @given(weighted_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_weight_equals_networkx(self, graph):
+        nodes, weights = graph
+        pairs = max_weight_matching(nodes, weights)
+        assert_valid_matching(nodes, weights, pairs)
+        assert sum(weights[p] for p in pairs) == networkx_weight(nodes, weights)
+
+    def test_exact_at_the_limit(self):
+        rng = random.Random(20)
+        nodes = [f"a{i}" for i in range(_EXACT_MATCHING_LIMIT)]
+        weights = {
+            pair: rng.randint(1, 8)
+            for pair in itertools.combinations(nodes, 2)
+            if rng.random() < 0.5
+        }
+        pairs = max_weight_matching(nodes, weights)
+        assert_valid_matching(nodes, weights, pairs)
+        assert sum(weights[p] for p in pairs) == networkx_weight(nodes, weights)
+
+    def test_ties_break_deterministically(self):
+        nodes = ["a", "b", "c", "d"]
+        weights = {("a", "b"): 1, ("a", "c"): 2, ("b", "d"): 1, ("c", "d"): 2}
+        # a-b + c-d and a-c + b-d both weigh 3: the first node's earliest
+        # partner wins
+        assert max_weight_matching(nodes, weights) == [("a", "b"), ("c", "d")]
+
+    def test_independent_of_edge_order(self):
+        # compatibility edges arrive from a set, whose order follows the
+        # string hash seed: the PLM grouping must not
+        config, _ = helmholtz_config(n=5)
+        edges = sorted(tuple(sorted(e, key=config.arrays.index))
+                       for e in config.address_space_edges)
+        rng = random.Random(0)
+        results = set()
+        for _ in range(5):
+            rng.shuffle(edges)  # equal weights: every pairing ties
+            weights = {edge: 1 for edge in edges}
+            results.add(tuple(max_weight_matching(config.arrays, weights)))
+        assert len(results) == 1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_greedy_fallback_above_limit_is_valid_and_maximal(self, seed):
+        rng = random.Random(seed)
+        nodes = [f"a{i:02d}" for i in range(_EXACT_MATCHING_LIMIT + 4)]
+        weights = {
+            pair: rng.randint(1, 8)
+            for pair in itertools.combinations(nodes, 2)
+            if rng.random() < 0.4
+        }
+        pairs = max_weight_matching(nodes, weights)
+        assert_valid_matching(nodes, weights, pairs)
+        matched = {a for pair in pairs for a in pair}
+        # no edge is left with both ends free
+        assert all(a in matched or b in matched for a, b in weights)
+
+    def test_isolated_nodes_do_not_count_toward_the_limit(self):
+        nodes = [f"a{i:02d}" for i in range(_EXACT_MATCHING_LIMIT + 10)]
+        # a path whose heavy middle edge a greedy matching would take
+        weights = {("a00", "a01"): 2, ("a01", "a02"): 3, ("a02", "a03"): 2}
+        assert max_weight_matching(nodes, weights) == [
+            ("a00", "a01"), ("a02", "a03"),
+        ]

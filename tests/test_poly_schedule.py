@@ -1,8 +1,12 @@
 """Tests for polyhedral statements, reference schedule, dataflow, rescheduling."""
 
+from itertools import permutations
+
 import pytest
 
+from repro.apps import gradient_program, interpolation_program
 from repro.apps.helmholtz import inverse_helmholtz_program
+from repro.apps.workloads import make_workload
 from repro.errors import PolyhedralError
 from repro.poly.codegen_ast import build_loop_ast, kernel_trip_counts
 from repro.poly.dataflow import (
@@ -13,9 +17,11 @@ from repro.poly.dataflow import (
     statement_rar_pairs,
 )
 from repro.poly.reschedule import (
+    RescheduleOptions,
     innermost_stride,
     raw_cost,
     reschedule,
+    schedule_cost,
 )
 from repro.poly.schedule import (
     reference_schedule,
@@ -157,6 +163,114 @@ class TestReschedule:
         prog = helmholtz_poly()
         with pytest.raises(PolyhedralError):
             with_statement_order(prog, ["s0"])
+
+
+def recomposed_innermost_stride(prog, stmt, perm):
+    """Innermost strides by composing ``Layout.aff ∘ access`` for this one
+    permutation (the reference the hoisted stride table must match)."""
+    inner_dim = stmt.loop_dims[perm[-1]]
+    strides = []
+    for acc in (stmt.write, *stmt.reads):
+        layout = prog.layouts[acc.tensor]
+        dims = tuple(f"x{i}" for i in range(len(layout.shape)))
+        strides.append(layout.aff(dims).compose(acc.fn).exprs[0].coeff(inner_dim))
+    return strides
+
+
+def brute_force_loop_order(prog, stmt, placement):
+    """The permutation minimizing (reduction misplaced, strided accesses,
+    perm), recomposing the address map for every candidate."""
+    nd = len(stmt.loop_dims)
+    red = set(range(stmt.out_rank, nd))
+
+    def key(perm):
+        bad = sum(
+            1 for s in recomposed_innermost_stride(prog, stmt, perm) if s not in (0, 1)
+        )
+        if not stmt.is_reduction or placement == "free":
+            return (0, bad, perm)
+        if placement == "innermost":
+            ok = all(perm.index(i) >= nd - len(red) for i in red)
+        else:
+            ok = perm[-1] not in red
+        return (0 if ok else 1, bad, perm)
+
+    return min(permutations(range(nd)), key=key)
+
+
+def oracle_kernels():
+    """Scheduled Helmholtz, interpolation, gradient and fused fem-cfd kernels."""
+    from repro.flow import FlowOptions, compile_any
+
+    polys = {
+        name: reference_schedule(canonicalize(lower_program(build(5))))
+        for name, build in (
+            ("helmholtz", inverse_helmholtz_program),
+            ("interpolation", interpolation_program),
+            ("gradient", gradient_program),
+        )
+    }
+    fused = compile_any(
+        make_workload("fem-cfd", n=4).program, FlowOptions(fusion="auto")
+    )
+    for name, result in fused.results.items():
+        polys[f"fem-cfd:{name}"] = result.poly
+    return polys
+
+
+class TestRescheduleOracle:
+    @pytest.fixture(scope="class")
+    def kernels(self):
+        return oracle_kernels()
+
+    def test_fused_fem_cfd_is_one_kernel(self, kernels):
+        assert len([k for k in kernels if k.startswith("fem-cfd:")]) == 1
+
+    @pytest.mark.parametrize("placement", ["innermost", "outside", "free"])
+    def test_loop_order_matches_brute_force(self, kernels, placement):
+        from repro.poly.codegen_ast import scheduled_loop_dims
+
+        checked = 0
+        for name, prog in kernels.items():
+            opt = reschedule(prog, RescheduleOptions(reduction_placement=placement))
+            for s in opt.statements:
+                if not 1 < len(s.loop_dims) <= 6:
+                    continue
+                chosen = tuple(
+                    s.loop_dims.index(d) for d in scheduled_loop_dims(opt, s)
+                )
+                assert chosen == brute_force_loop_order(opt, s, placement), (
+                    name, s.name,
+                )
+                checked += 1
+        assert checked > 20
+
+    def test_innermost_stride_matches_recomposition(self, kernels):
+        for prog in kernels.values():
+            for s in prog.statements:
+                for perm in permutations(range(len(s.loop_dims))):
+                    assert innermost_stride(prog, s, perm) == (
+                        recomposed_innermost_stride(prog, s, perm)
+                    )
+
+    def test_statement_order_minimizes_schedule_cost(self, kernels):
+        from repro.utils import stable_topo_orders
+
+        options = RescheduleOptions(permute_loops=False)
+        for name, prog in kernels.items():
+            names = [s.name for s in prog.statements]
+            edges = {n: [] for n in names}
+            for dep in statement_raw_deps(prog):
+                edges[dep.producer].append(dep.consumer)
+            best = min(
+                (schedule_cost(with_statement_order(prog, order), options), order)
+                for order in stable_topo_orders(
+                    names, edges, limit=options.max_orders
+                )
+            )
+            opt = reschedule(prog, options)
+            got = tuple(s.name for s in opt.statements_in_schedule_order())
+            assert got == best[1], name
 
 
 class TestLoopAst:
