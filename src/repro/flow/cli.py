@@ -302,14 +302,16 @@ def build_worker_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="worker-local stage cache tier in front of the "
                         "broker's (default: a temporary directory)")
-    p.add_argument("--poll", type=float, default=0.05, metavar="SECONDS",
-                   help="queue polling interval (default 0.05)")
+    p.add_argument("--poll", type=float, default=1.0, metavar="SECONDS",
+                   help="longest single blocking claim on an empty queue; "
+                        "a queued point is claimed the moment it arrives "
+                        "(default 1.0)")
     p.add_argument("--heartbeat", type=float, default=1.0, metavar="SECONDS",
                    help="liveness/lease heartbeat interval (default 1.0)")
     p.add_argument("--idle-timeout", type=float, default=None,
                    metavar="SECONDS",
                    help="exit after the queue has been empty this long "
-                        "(default: poll forever)")
+                        "(default: wait forever)")
     p.add_argument("--max-jobs", type=int, default=None, metavar="N",
                    help="exit after handling N jobs (default: unlimited)")
     p.add_argument("--worker-id", default=None, metavar="NAME",
@@ -562,11 +564,11 @@ def build_service_parser(verb: str) -> argparse.ArgumentParser:
                        help="the id 'cfdlang-flow submit' printed")
     if verb == "fetch":
         p.add_argument("--wait", action="store_true",
-                       help="poll until the job is terminal instead of "
+                       help="wait until the job is terminal instead of "
                             "failing on a still-running job")
         p.add_argument("--poll", type=float, default=0.5, metavar="SECONDS",
-                       help="status polling interval for --wait "
-                            "(default 0.5)")
+                       help="longest single wait of --wait; it returns the "
+                            "moment the job ends (default 0.5)")
         p.add_argument("--trace", action="store_true",
                        help="print the merged per-stage trace the workers "
                             "recorded")

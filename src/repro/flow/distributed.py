@@ -22,8 +22,10 @@ points are pending but no worker is.
 
 from __future__ import annotations
 
+import gc
 import os
 import pathlib
+import pickle
 import secrets
 import shutil
 import socket
@@ -32,7 +34,7 @@ import sys
 import tempfile
 import threading
 import time
-from typing import Dict, List, Optional, Protocol, runtime_checkable
+from typing import Dict, List, NamedTuple, Optional, Protocol, runtime_checkable
 
 from repro.errors import SystemGenerationError
 from repro.flow.store import (
@@ -61,15 +63,67 @@ class BrokerUnreachableError(SystemGenerationError):
     connect-retry budget."""
 
 
+class RawResult(NamedTuple):
+    """A point's result payload as the worker pickled it, once.
+
+    The broker reads only the two fields kept in the clear next to the
+    bytes: ``failed`` (the outcome is an exception) for job state, and
+    ``deltas`` (cache-counter deltas) for its cache statistics.  It
+    stores ``data`` unchanged and serves it unchanged; only the client
+    that fetches the job unpickles it.
+    """
+
+    data: bytes
+    failed: bool
+    deltas: Dict[str, int]
+
+
+def raw_result(payload) -> RawResult:
+    """Pickle a result payload dict into a :class:`RawResult`; a
+    :class:`RawResult` passes through unchanged."""
+    if isinstance(payload, RawResult):
+        return payload
+    return RawResult(
+        pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
+        isinstance(payload.get("outcome"), BaseException),
+        dict(payload.get("deltas") or {}),
+    )
+
+
+def decode_results(blobs) -> List[Optional[Dict[str, object]]]:
+    """Unpickle a job's stored result bytes into payload dicts, in order
+    (a point that never ran stays None).
+
+    Everything a result unpickles into survives, so a cyclic-GC pass
+    that decoding triggers only re-scans it: an 18-point job is about
+    30,000 container objects, enough for dozens of young passes and, in
+    a client with a sizeable heap, a full collection every two or three
+    jobs.  The collector is paused for the batch, and one young pass
+    after it scans each new object once."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        payloads = [None if data is None else pickle.loads(data)
+                    for data in blobs]
+    finally:
+        if enabled:
+            gc.enable()
+    if enabled:
+        gc.collect(0)
+    return payloads
+
+
 @runtime_checkable
 class Transport(Protocol):
     """What the worker loop (:func:`run_worker`) requires of a work queue.
 
-    Messages are primitives-only dicts (JSON-safe); result payloads are
-    opaque dicts the transport ships by pickle.  ``claim_job`` must hand
-    each pending job to exactly one concurrent claimer and start its
-    lease; ``heartbeat_job`` keeps a claimed job's lease alive;
-    ``complete`` posts the result and drops the lease.
+    Messages are primitives-only dicts (JSON-safe); a result is a
+    payload dict or the :class:`RawResult` the worker already pickled
+    it into.  ``claim_job`` must hand each pending job to exactly one
+    concurrent claimer and start its lease, blocking up to ``wait``
+    seconds for one to be queued; ``heartbeat_job`` keeps a claimed
+    job's lease alive; ``complete`` posts the result and drops the
+    lease.
     ``heartbeat_worker`` / ``unregister_worker`` are the fleet-liveness
     side: how a worker proves it exists and says goodbye.  Enqueueing,
     lease expiry and result collection are the broker's business
@@ -80,11 +134,11 @@ class Transport(Protocol):
     it.
     """
 
-    def claim_job(self) -> Optional[Dict[str, object]]: ...
+    def claim_job(self, wait: float = 0.0) -> Optional[Dict[str, object]]: ...
 
     def heartbeat_job(self, job_id: str) -> None: ...
 
-    def complete(self, job_id: str, payload: Dict[str, object]) -> None: ...
+    def complete(self, job_id: str, payload) -> None: ...
 
     def heartbeat_worker(self, worker_id: str) -> None: ...
 
@@ -152,7 +206,7 @@ def run_worker(
     transport: Transport,
     cache,
     *,
-    poll_seconds: float = 0.05,
+    poll_seconds: float = 1.0,
     heartbeat_seconds: float = 1.0,
     idle_timeout: Optional[float] = None,
     max_jobs: Optional[int] = None,
@@ -164,7 +218,11 @@ def run_worker(
     run it through the standard :class:`~repro.flow.session.Flow`
     against ``cache`` (with cross-process :class:`FileSingleFlight`
     dedup on the cache's lock directory, so co-hosted workers never
-    duplicate stage work), post the result, repeat.  A background
+    duplicate stage work), pickle the result once (:func:`raw_result`),
+    post it, repeat.  An idle worker blocks in ``claim_job`` for at
+    most ``poll_seconds`` (and at most one heartbeat interval, since
+    the claim and the heartbeats share a connection) and is woken the
+    moment a point is queued.  A background
     :class:`WorkerPulse` keeps the worker's liveness and the running
     job's lease fresh — if this process dies mid-job, the lease goes
     stale and the broker requeues the job elsewhere.
@@ -177,8 +235,8 @@ def run_worker(
     cleanly rather than erroring: a vanished broker means the sweep is
     over.
 
-    ``idle_timeout`` bounds how long an empty queue is polled before the
-    worker exits (None = poll forever, the long-lived fleet-member
+    ``idle_timeout`` bounds how long the queue may stay empty before the
+    worker exits (None = wait forever, the long-lived fleet-member
     mode); ``max_jobs`` exits after that many jobs (handy for tests and
     drain-then-recycle deployments).  Returns the number of jobs
     handled.
@@ -191,18 +249,19 @@ def run_worker(
     handled = 0
     idle_since = time.monotonic()
     try:
-        while True:
+        while max_jobs is None or handled < max_jobs:
+            wait = min(poll_seconds, heartbeat_seconds)
+            if idle_timeout is not None:
+                idle_left = idle_timeout - (time.monotonic() - idle_since)
+                wait = max(0.0, min(wait, idle_left))
             try:
-                message = transport.claim_job()
+                message = transport.claim_job(wait=wait)
             except TransportClosedError:
                 break  # broker gone: the sweep is over
             if message is None:
-                if max_jobs is not None and handled >= max_jobs:
-                    break
                 if (idle_timeout is not None
                         and time.monotonic() - idle_since >= idle_timeout):
                     break
-                time.sleep(poll_seconds)
                 continue
             idle_since = time.monotonic()
             job_id = str(message["id"])
@@ -226,24 +285,20 @@ def run_worker(
                 )
             finally:
                 pulse.job = None
+            result = raw_result({
+                "id": job_id,
+                "index": message.get("index"),
+                "attempt": message.get("attempt", 0),
+                "worker": worker,
+                "outcome": outcome,
+                "events": events,
+                "deltas": deltas,
+            })
             try:
-                transport.complete(
-                    job_id,
-                    {
-                        "id": job_id,
-                        "index": message.get("index"),
-                        "attempt": message.get("attempt", 0),
-                        "worker": worker,
-                        "outcome": outcome,
-                        "events": events,
-                        "deltas": deltas,
-                    },
-                )
+                transport.complete(job_id, result)
             except TransportClosedError:
                 break  # broker gone mid-post: its lease machinery mops up
             handled += 1
-            if max_jobs is not None and handled >= max_jobs:
-                break
     finally:
         pulse.stop()
         try:
@@ -373,8 +428,8 @@ class DistributedExecutor:
 
     # -- fleet ---------------------------------------------------------------
     def _fleet_watch(self, server, token: str):
-        """The per-poll check :func:`run_batch` runs while the job is
-        unfinished: respawn dead spawned workers, and raise if no worker
+        """The check :func:`run_batch` runs after each wait that finds
+        the job unfinished: respawn dead spawned workers, and raise if no worker
         has been alive for the grace window while points are pending."""
         # tolerate as many worker deaths as the per-point retry budget
         # allows across the whole batch, with a floor so a single flaky

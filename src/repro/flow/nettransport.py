@@ -12,6 +12,9 @@ Three pieces:
   timestamps.  Workers see its :class:`~repro.flow.distributed.
   Transport` side; the job service (:mod:`repro.flow.service`) drives
   the rest — enqueueing, result collection, lease expiry, cancellation.
+  Nothing on it polls: one condition variable wakes a blocked claim
+  when a point is queued and the service's scheduler when a result is
+  posted.
 * :class:`BrokerServer` — a threaded TCP server wrapping a
   :class:`MemoryTransport` plus the broker's
   :class:`~repro.flow.store.DiskStageCache` and, optionally, a job
@@ -20,7 +23,10 @@ Three pieces:
   and only authenticated connections may send or receive pickle frames.
   A worker's requests double as its heartbeat; a dropped connection
   unregisters the worker immediately, and its leases expire on the
-  normal clock.
+  normal clock.  A ``claim`` (and the service's ``job_wait``) is a long
+  poll: it blocks until there is something to return, for at most
+  :data:`LONG_POLL_SECONDS`.  Results cross the broker as the bytes the
+  worker pickled (:class:`~repro.flow.distributed.RawResult`).
 * :class:`TcpTransport` — the client proxy: the worker ``Transport``
   surface and the cache fetch/put, one RPC each, so a worker
   (``cfdlang-flow worker --connect HOST:PORT``) drives a remote broker
@@ -63,15 +69,23 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.errors import SystemGenerationError
 from repro.flow.distributed import (
     BrokerUnreachableError,
+    RawResult,
     TransportClosedError,
     default_worker_id,
+    raw_result,
     run_worker,
 )
 from repro.flow.store import DiskStageCache, Entry, namespaced_key
 
 #: bump when the message schema changes incompatibly; hello replies
 #: carry it so mismatched peers fail with a clear error, not a hang
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
+
+#: the longest a broker blocks one request (a ``claim`` or ``job_wait``
+#: long poll) before replying "nothing yet".  A worker's claim loop and
+#: its heartbeat pulse share one connection, so this is also the
+#: longest a pulse can be held up: keep it at the default heartbeat.
+LONG_POLL_SECONDS = 1.0
 
 #: refuse frames bigger than this (a corrupt length prefix must not
 #: trigger a multi-gigabyte allocation)
@@ -96,9 +110,21 @@ class BrokerAuthError(SystemGenerationError):
 #: beating leases — which would let one tenant read or forge another
 #: tenant's work, so it is reserved for primary-token connections.
 TENANT_OPS = frozenset({
-    "submit", "job_status", "job_fetch", "job_cancel", "service_stats",
-    "cache_fetch", "cache_put",
+    "submit", "job_status", "job_wait", "job_fetch", "job_cancel",
+    "service_stats", "cache_fetch", "cache_put",
 })
+
+
+def wait_slice(requested) -> float:
+    """A client-requested blocking wait, clamped to
+    ``[0, LONG_POLL_SECONDS]``; anything that is not a number waits 0."""
+    try:
+        seconds = float(requested or 0.0)
+    except (TypeError, ValueError):
+        return 0.0
+    if not seconds > 0.0:  # negative, zero or NaN
+        return 0.0
+    return min(seconds, LONG_POLL_SECONDS)
 
 
 def parse_hostport(text: str, *, listening: bool = False) -> Tuple[str, int]:
@@ -210,16 +236,26 @@ class MemoryTransport:
     cancelled batch.  All methods are thread-safe (the server handles
     each connection on its own thread).  Jobs claim in sorted-id order,
     so time-sortable job ids drain first-come-first-served.
+
+    Results are held as :class:`~repro.flow.distributed.RawResult`
+    bytes: ``take_results`` hands them to the job service undecoded,
+    ``take_result`` decodes one for callers that want the payload.
+    Every change a waiter may be blocked on (a queued point, a posted
+    result, ``close``) notifies one condition; ``close`` makes blocked
+    and later claims raise :class:`~repro.flow.distributed.
+    TransportClosedError`.
     """
 
     _TOMBSTONE_TTL_SECONDS = 86400.0
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
+        self._changed = threading.Condition(self._lock)
+        self._closed = False
         self._queue: Dict[str, Dict[str, object]] = {}
         #: job id -> [message, last heartbeat (monotonic)]
         self._leases: Dict[str, List[object]] = {}
-        self._results: Dict[str, Dict[str, object]] = {}
+        self._results: Dict[str, RawResult] = {}
         #: worker id -> last heartbeat (monotonic)
         self._workers: Dict[str, float] = {}
         #: batch id -> tombstone time (monotonic)
@@ -229,11 +265,20 @@ class MemoryTransport:
     def put_job(self, message: Dict[str, object]) -> None:
         with self._lock:
             self._queue[str(message["id"])] = dict(message)
+            self._changed.notify_all()
 
-    def claim_job(self) -> Optional[Dict[str, object]]:
+    def claim_job(self, wait: float = 0.0) -> Optional[Dict[str, object]]:
+        """Lease the first pending job, blocking up to ``wait`` seconds
+        for one to be queued; None if none was."""
+        deadline = time.monotonic() + wait
         with self._lock:
-            if not self._queue:
-                return None
+            while not (self._queue or self._closed):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return None
+                self._changed.wait(remaining)
+            if self._closed:
+                raise TransportClosedError("the broker closed")
             job_id = min(self._queue)
             message = self._queue.pop(job_id)
             self._leases[job_id] = [message, time.monotonic()]
@@ -245,19 +290,51 @@ class MemoryTransport:
             if lease is not None:
                 lease[1] = time.monotonic()
 
-    def complete(self, job_id: str, payload: Dict[str, object]) -> None:
+    def complete(self, job_id: str, payload) -> None:
+        result = raw_result(payload)
         with self._lock:
+            self._leases.pop(job_id, None)
             if batch_of(job_id) in self._done:
                 # the broker closed this batch: a straggler result would
                 # sit unconsumed forever
-                self._leases.pop(job_id, None)
                 return
-            self._results[job_id] = payload
-            self._leases.pop(job_id, None)
+            self._results[job_id] = result
+            self._changed.notify_all()
 
     def take_result(self, job_id: str) -> Optional[Dict[str, object]]:
+        """Consume one posted result, decoded to its payload dict."""
         with self._lock:
-            return self._results.pop(job_id, None)
+            result = self._results.pop(job_id, None)
+        return None if result is None else pickle.loads(result.data)
+
+    def take_results(self, wait: float, stop) -> Dict[str, RawResult]:
+        """Consume every posted result, undecoded, blocking up to
+        ``wait`` seconds for the first; ``stop`` (a no-argument
+        predicate, re-checked whenever :meth:`wake` is called) ends the
+        wait early."""
+        deadline = time.monotonic() + wait
+        with self._lock:
+            while not (self._results or stop()):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._changed.wait(remaining)
+            results, self._results = self._results, {}
+        return results
+
+    def wake(self) -> None:
+        """Make every blocked waiter re-check its condition."""
+        with self._lock:
+            self._changed.notify_all()
+
+    def close(self) -> None:
+        """Release every blocked claim for good: claims raise
+        :class:`~repro.flow.distributed.TransportClosedError` from now
+        on.  (The job service's result wait ends through its own
+        ``stop`` predicate; the broker stops the service first.)"""
+        with self._lock:
+            self._closed = True
+            self._changed.notify_all()
 
     def expired_leases(self, lease_seconds: float) -> List[str]:
         now = time.monotonic()
@@ -281,6 +358,7 @@ class MemoryTransport:
             cancelled = set(job_ids) & set(self._queue)
             for job_id in cancelled:
                 del self._queue[job_id]
+            self._changed.notify_all()
             return cancelled
 
     # -- batch tombstones ----------------------------------------------------
@@ -335,8 +413,9 @@ class BrokerServer:
     One accept thread plus one thread per connection — fleets here are
     tens of workers, not thousands.  ``address`` is the bound (host,
     port) pair, so listening on port 0 yields a usable ephemeral port.
-    ``close()`` shuts the listener and every live connection down and
-    returns once their threads have exited.
+    ``close()`` stops the job service, wakes every blocked long poll,
+    shuts the listener and every live connection down, and returns once
+    their threads have exited.
     """
 
     def __init__(
@@ -395,6 +474,7 @@ class BrokerServer:
         self._closing.set()
         if self.service is not None:
             self.service.stop()  # scheduler first: no new puts mid-teardown
+        self.transport.close()  # blocked claims raise, their threads exit
         try:
             # close() alone does not wake a thread blocked in accept() on
             # Linux; shutdown does, so the join below returns at once
@@ -536,7 +616,8 @@ class BrokerServer:
                          "tenant tokens may only submit jobs, poll/fetch/"
                          "cancel their own, and use their cache namespace",
             }, False
-        if op in ("submit", "job_status", "job_fetch", "job_cancel"):
+        if op in ("submit", "job_status", "job_wait", "job_fetch",
+                  "job_cancel"):
             if self.service is None:
                 return {
                     "ok": False,
@@ -556,7 +637,7 @@ class BrokerServer:
                 stats.update(self.service.stats())
             return {"ok": True, "stats": stats}, False
         if op == "claim":
-            return {"job": t.claim_job()}, False
+            return {"job": t.claim_job(wait_slice(request.get("wait")))}, False
         if op == "heartbeat":
             worker = request.get("worker") or worker_id
             if worker:
@@ -565,7 +646,16 @@ class BrokerServer:
                 t.heartbeat_job(str(request["job"]))
             return {"ok": True}, False
         if op == "complete":
-            t.complete(str(request["id"]), request["payload"])
+            if not isinstance(request.get("data"), bytes):
+                return {
+                    "ok": False,
+                    "error": "malformed complete: 'data' must be the "
+                             "pickled result bytes",
+                }, False
+            t.complete(str(request["id"]), RawResult(
+                request["data"], bool(request.get("failed")),
+                dict(request.get("deltas") or {}),
+            ))
             return {"ok": True}, False
         if op == "unregister_worker":
             worker = request.get("worker") or worker_id
@@ -596,7 +686,10 @@ class TcpTransport:
 
     Every method is one request/reply round trip on a single
     persistent socket, serialized by a lock so the worker's heartbeat
-    thread and its job loop share the connection safely.  ``connect()``
+    thread and its job loop share the connection safely (which is why
+    the broker caps a blocking ``claim`` at :data:`LONG_POLL_SECONDS`).
+    ``complete`` ships the result as the bytes the worker pickled,
+    with ``failed`` and ``deltas`` beside them in the clear.  ``connect()``
     retries a refused connection ``connect_retries`` times
     (``retry_delay`` apart) before failing with
     :class:`~repro.flow.distributed.BrokerUnreachableError` — a worker
@@ -754,15 +847,19 @@ class TcpTransport:
         return reply
 
     # -- Transport protocol --------------------------------------------------
-    def claim_job(self) -> Optional[Dict[str, object]]:
-        return self._call({"op": "claim"})["job"]
+    def claim_job(self, wait: float = 0.0) -> Optional[Dict[str, object]]:
+        return self._call({"op": "claim", "wait": wait})["job"]
 
     def heartbeat_job(self, job_id: str) -> None:
         self._call({"op": "heartbeat", "job": job_id})
 
-    def complete(self, job_id: str, payload: Dict[str, object]) -> None:
+    def complete(self, job_id: str, payload) -> None:
+        result = raw_result(payload)
         self._call(
-            {"op": "complete", "id": job_id, "payload": payload},
+            {
+                "op": "complete", "id": job_id, "data": result.data,
+                "failed": result.failed, "deltas": result.deltas,
+            },
             pickled=True,
         )
 
@@ -911,7 +1008,7 @@ def run_tcp_worker(
     token: Optional[str],
     cache_dir=None,
     *,
-    poll_seconds: float = 0.05,
+    poll_seconds: float = 1.0,
     heartbeat_seconds: float = 1.0,
     idle_timeout: Optional[float] = None,
     max_jobs: Optional[int] = None,

@@ -19,10 +19,12 @@ Pieces, broker side:
 * :class:`JobService` — the job registry and scheduler.  ``submit``
   persists a spec and enqueues one message per design point on the
   broker's :class:`~repro.flow.nettransport.MemoryTransport`; a background
-  scheduler thread collects results, heals expired leases with bounded
-  retries (a point whose workers keep dying resolves to
-  :class:`~repro.flow.distributed.WorkerCrashError`), and finalizes the
-  job when every point is resolved.  Admission control bounds the queue:
+  scheduler thread, woken by each posted result, stores it, finalizes
+  the job when every point is resolved, and heals expired leases with
+  bounded retries (a point whose workers keep dying resolves to
+  :class:`~repro.flow.distributed.WorkerCrashError`).  Results stay the
+  bytes the worker pickled: the broker writes them to disk and serves
+  them without decoding them.  Admission control bounds the queue:
   over ``max_jobs`` unfinished jobs (or ``max_tenant_jobs`` for one
   token) a submit is refused with :class:`BrokerBusyError` instead of
   growing the backlog — clients degrade gracefully, they never stall.
@@ -41,14 +43,16 @@ Pieces, broker side:
 
 Pieces, client side:
 
-* :class:`ServiceClient` — the RPC proxy (submit / status / fetch /
-  cancel / stats) over the same authenticated framed-socket protocol
-  workers use.
+* :class:`ServiceClient` — the RPC proxy (submit / status / wait /
+  fetch / cancel / stats) over the same authenticated framed-socket
+  protocol workers use.  ``wait`` is a long poll: the broker replies the
+  moment the job ends.  ``fetch`` unpickles the stored result bytes —
+  the only place a result is decoded.
 * :class:`SweepJob` — the durable handle: ``status()``, ``wait()``,
   ``fetch()``, ``cancel()``.  Constructable from nothing but an address
   and a job id, which is the whole point.
 * :class:`ServiceExecutor` — ``compile_many(..., executor="service")``:
-  submits the batch as one job and polls it to completion
+  submits the batch as one job and waits for it to end
   (:func:`run_batch`, shared with the distributed executor), or with
   ``detach=True`` returns the :class:`SweepJob` immediately.
 
@@ -56,7 +60,7 @@ Service directory layout (all writes atomic)::
 
     service/
       jobs/     <job-id>.json        immutable spec: points, tenant, limits
-      results/  <job-id>/<idx>.pkl   per-point payloads as workers post them
+      results/  <job-id>/<idx>.pkl   per-point payloads, the bytes workers post
       state/    <job-id>.json        terminal state marker
 
 A job id sorts by submit time (``j<hex-ms><nonce>``), so the transport's
@@ -74,8 +78,18 @@ import uuid
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SystemGenerationError
-from repro.flow.distributed import WorkerCrashError
-from repro.flow.nettransport import BrokerServer, MemoryTransport, TcpTransport
+from repro.flow.distributed import (
+    WorkerCrashError,
+    decode_results,
+    raw_result,
+)
+from repro.flow.nettransport import (
+    BrokerServer,
+    MemoryTransport,
+    TcpTransport,
+    batch_of,
+    wait_slice,
+)
 from repro.flow.stages import source_fingerprint
 from repro.flow.store import atomic_write_bytes
 
@@ -148,7 +162,10 @@ class JobService:
     :class:`~repro.flow.nettransport.MemoryTransport` the broker's
     workers drain.  ``start()`` launches the
     scheduler thread (result collection, lease healing, finalization)
-    and ``stop()`` joins it; :class:`~repro.flow.nettransport.
+    and ``stop()`` wakes and joins it, and releases every blocked
+    :meth:`wait`.  The scheduler sleeps until a result is posted;
+    ``poll_seconds`` only sets how often it heals expired leases and
+    purges expired jobs.  :class:`~repro.flow.nettransport.
     BrokerServer` calls ``stop()`` from its own ``close()`` when handed
     a service.  Construction recovers state from the service directory:
     jobs already terminal stay terminal, everything else has its
@@ -192,6 +209,8 @@ class JobService:
         #: tombstone TTL.  Clients get a full window to fetch.
         self.terminal_ttl_seconds = terminal_ttl_seconds
         self._lock = threading.Lock()
+        #: notified whenever a job turns terminal (and on stop)
+        self._job_ended = threading.Condition(self._lock)
         self._jobs: Dict[str, _JobRecord] = {}
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -207,6 +226,9 @@ class JobService:
 
     def stop(self) -> None:
         self._stop.set()
+        with self._lock:
+            self._job_ended.notify_all()
+        self.transport.wake()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
@@ -303,10 +325,18 @@ class JobService:
         self.transport.put_job(message)
 
     def _load_result(self, job_id: str, index: int):
+        data = self._read_result(job_id, index)
+        if data is None:
+            return None
         try:
-            with open(self._result_path(job_id, index), "rb") as f:
-                return pickle.load(f)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+            return pickle.loads(data)
+        except (pickle.UnpicklingError, EOFError, AttributeError):
+            return None
+
+    def _read_result(self, job_id: str, index: int) -> Optional[bytes]:
+        try:
+            return self._result_path(job_id, index).read_bytes()
+        except OSError:
             return None
 
     # -- client API (also reachable as RPCs via handle_rpc) ------------------
@@ -385,19 +415,38 @@ class JobService:
     def status(self, job_id: str, tenant: str = "") -> Dict[str, object]:
         """Per-point progress counters and lifecycle state."""
         with self._lock:
-            job = self._get(job_id, tenant)
-            return {
-                "job": job.job_id,
-                "state": job.state,
-                "total": len(job.points),
-                "done_points": len(job.resolved),
-                "failed_points": job.failed_points,
-                "retries": sum(job.attempts.values()),
-                "created": job.created,
-            }
+            return self._status(self._get(job_id, tenant))
 
-    def fetch(self, job_id: str, tenant: str = "") -> List[object]:
-        """The per-point result payloads of a terminal job, point order.
+    @staticmethod
+    def _status(job: _JobRecord) -> Dict[str, object]:
+        return {
+            "job": job.job_id,
+            "state": job.state,
+            "total": len(job.points),
+            "done_points": len(job.resolved),
+            "failed_points": job.failed_points,
+            "retries": sum(job.attempts.values()),
+            "created": job.created,
+        }
+
+    def wait(
+        self, job_id: str, tenant: str = "", timeout: float = 0.0,
+    ) -> Dict[str, object]:
+        """Block until the job is terminal, ``timeout`` seconds pass, or
+        the service stops; returns the job's status then."""
+        deadline = time.monotonic() + timeout
+        with self._lock:
+            job = self._get(job_id, tenant)
+            while job.state not in TERMINAL_STATES and not self._stop.is_set():
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._job_ended.wait(remaining)
+            return self._status(job)
+
+    def fetch_raw(self, job_id: str, tenant: str = "") -> List[Optional[bytes]]:
+        """The per-point result bytes of a terminal job, point order,
+        exactly as the workers pickled them.
 
         Slots a cancelled job never ran hold None.  Non-destructive: a
         fetched job stays fetchable until cancelled (which purges it).
@@ -410,10 +459,14 @@ class JobService:
                     "is done/failed/cancelled before fetching"
                 )
             return [
-                self._load_result(job.job_id, i) if i in job.resolved
+                self._read_result(job.job_id, i) if i in job.resolved
                 else None
                 for i in range(len(job.points))
             ]
+
+    def fetch(self, job_id: str, tenant: str = "") -> List[object]:
+        """:meth:`fetch_raw`, decoded to the per-point payload dicts."""
+        return decode_results(self.fetch_raw(job_id, tenant))
 
     def cancel(self, job_id: str, tenant: str = "") -> Dict[str, object]:
         """Cancel a job: unclaimed points are dropped, running ones are
@@ -436,6 +489,7 @@ class JobService:
         job.state = state
         job.finished = time.time()
         self._persist_state(job)
+        self._job_ended.notify_all()
         return {job.point_id(i) for i in job.unresolved()}
 
     def _drop_points(self, job: _JobRecord, point_ids: set) -> None:
@@ -516,8 +570,16 @@ class JobService:
                     "ok": True,
                     "status": self.status(str(request.get("job")), tenant),
                 }, False
+            if op == "job_wait":
+                return {
+                    "ok": True,
+                    "status": self.wait(
+                        str(request.get("job")), tenant,
+                        wait_slice(request.get("timeout")),
+                    ),
+                }, False
             if op == "job_fetch":
-                payloads = self.fetch(str(request.get("job")), tenant)
+                payloads = self.fetch_raw(str(request.get("job")), tenant)
                 return {"ok": True, "payloads": payloads}, True
             if op == "job_cancel":
                 return {
@@ -539,25 +601,46 @@ class JobService:
 
     # -- scheduler -----------------------------------------------------------
     def _run(self) -> None:
-        while not self._stop.wait(self.poll_seconds):
+        housekeeping_due = time.monotonic()
+        while not self._stop.is_set():
+            results = self.transport.take_results(
+                max(0.0, housekeeping_due - time.monotonic()),
+                self._stop.is_set,
+            )
+            housekeeping = time.monotonic() >= housekeeping_due
+            if housekeeping:
+                housekeeping_due = time.monotonic() + self.poll_seconds
             try:
-                self._tick()
+                self._tick(results, housekeeping)
             except Exception:  # noqa: BLE001 — the scheduler must survive
                 # transient transport trouble; jobs heal on the next tick
                 pass
 
-    def _tick(self) -> None:
+    def _tick(self, results, housekeeping: bool = True) -> None:
+        """Store posted results and finalize the jobs they finish; with
+        ``housekeeping``, also heal expired leases and purge expired
+        terminal jobs."""
         with self._lock:
-            live = [
-                j for j in self._jobs.values()
+            live = {
+                j.job_id: j for j in self._jobs.values()
                 if j.state not in TERMINAL_STATES
-            ]
-        for job in live:
-            self._collect(job)
-        self._heal_leases(live)
-        for job in live:
+            }
+        for pid in sorted(results):
+            job = live.get(batch_of(pid))
+            if job is None:
+                continue  # a finished, cancelled or purged job's straggler
+            try:
+                index = int(pid.rsplit("-", 1)[1])
+            except (IndexError, ValueError):
+                continue
+            if 0 <= index < len(job.points):
+                self._resolve(job, index, results[pid])
+        if housekeeping:
+            self._heal_leases(list(live.values()))
+        for job in live.values():
             self._maybe_finalize(job)
-        self._expire_terminal()
+        if housekeeping:
+            self._expire_terminal()
 
     def _expire_terminal(self) -> None:
         """Retention: purge terminal jobs whose fetch window has passed,
@@ -572,21 +655,17 @@ class JobService:
             for job in expired:
                 self._purge(job)
 
-    def _collect(self, job: _JobRecord) -> None:
-        for index in job.unresolved():
-            pid = job.point_id(index)
-            payload = self.transport.take_result(pid)
-            if payload is not None:
-                self._resolve(job, index, payload)
-
     def _resolve(self, job: _JobRecord, index: int, payload) -> None:
+        """Record one point's result (a payload dict or the worker's
+        :class:`~repro.flow.distributed.RawResult`), storing its bytes
+        unchanged."""
         with self._lock:
             if index in job.resolved or job.state in TERMINAL_STATES:
                 return  # duplicate post, or a cancel/purge won the race
-        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        result = raw_result(payload)
         path = self._result_path(job.job_id, index)
         path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_bytes(path, data)
+        atomic_write_bytes(path, result.data)
         with self._lock:
             if index in job.resolved:
                 return  # duplicate post of a re-leased point
@@ -605,15 +684,14 @@ class JobService:
                 return
             job.resolved.add(index)
             dropped = None
-            if isinstance(payload.get("outcome"), BaseException):
+            if result.failed:
                 job.failed_points += 1
                 if job.fail_fast:
                     dropped = self._end_early(job, "failed")
             if job.state == "queued":
                 job.state = "running"
-            deltas = payload.get("deltas")
-        if deltas and self.cache is not None:
-            self.cache.merge_stats(deltas)
+        if result.deltas and self.cache is not None:
+            self.cache.merge_stats(result.deltas)
         if dropped is not None:
             self._drop_points(job, dropped)
 
@@ -663,6 +741,7 @@ class JobService:
             job.state = "failed" if job.failed_points else "done"
             job.finished = time.time()
             self._persist_state(job)
+            self._job_ended.notify_all()
         # close the batch out: a straggler worker double-completing a
         # re-leased point must not strand a result in the queue state
         self.transport.mark_batch_done(job.job_id)
@@ -779,8 +858,20 @@ class ServiceClient:
     def status(self, job_id: str) -> Dict[str, object]:
         return self._rpc({"op": "job_status", "job": job_id})["status"]
 
+    def wait(self, job_id: str, timeout: float) -> Dict[str, object]:
+        """The job's status once it is terminal, or after ``timeout``
+        seconds (the broker caps one wait at
+        :data:`~repro.flow.nettransport.LONG_POLL_SECONDS`)."""
+        return self._rpc(
+            {"op": "job_wait", "job": job_id, "timeout": timeout}
+        )["status"]
+
     def fetch(self, job_id: str) -> List[object]:
-        return self._rpc({"op": "job_fetch", "job": job_id})["payloads"]
+        """The per-point payload dicts, unpickled from the bytes the
+        workers posted (None for a point that never ran)."""
+        return decode_results(
+            self._rpc({"op": "job_fetch", "job": job_id})["payloads"]
+        )
 
     def cancel(self, job_id: str) -> Dict[str, object]:
         reply = self._rpc({"op": "job_cancel", "job": job_id})
@@ -814,14 +905,19 @@ class SweepJob:
         timeout: Optional[float] = None,
         poll_seconds: float = 0.2,
     ) -> Dict[str, object]:
-        """Poll until the job is terminal; returns the final status.
+        """Block until the job is terminal; returns the final status.
 
-        Raises :class:`~repro.errors.SystemGenerationError` if
-        ``timeout`` (seconds) elapses first.
+        Each ``job_wait`` long poll lasts at most ``poll_seconds`` and
+        returns the moment the job ends.  Raises
+        :class:`~repro.errors.SystemGenerationError` if ``timeout``
+        (seconds) elapses first.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            status = self.status()
+            wait = poll_seconds
+            if deadline is not None:
+                wait = max(0.0, min(wait, deadline - time.monotonic()))
+            status = self.client.wait(self.job_id, wait)
             if status["state"] in TERMINAL_STATES:
                 return status
             if deadline is not None and time.monotonic() >= deadline:
@@ -830,7 +926,6 @@ class SweepJob:
                     f"({status['done_points']}/{status['total']} points) "
                     f"after {timeout:.1f}s"
                 )
-            time.sleep(poll_seconds)
 
     def fetch_payloads(self) -> List[object]:
         """The raw per-point result payloads (outcome/events/deltas)."""
@@ -876,19 +971,19 @@ def run_batch(client: ServiceClient, context, *, poll_seconds: float,
     ran) and merges the points' trace events into ``context.trace`` in
     point order.  ``context.fail_fast`` travels with the submit, so the
     broker ends the job at its first failed point.  Worker cache-counter
-    deltas are merged by the broker into its own cache.  ``watch``, if
-    given, is called with each status of the unfinished job and may
-    raise to abandon the wait.
+    deltas are merged by the broker into its own cache.  The wait is a
+    series of ``job_wait`` long polls of at most ``poll_seconds`` each;
+    ``watch``, if given, is called with the status after each one that
+    finds the job unfinished, and may raise to abandon the wait.
     """
     job = client.submit(_batch_points(context.jobs),
                         fail_fast=context.fail_fast)
     while True:
-        status = job.status()
+        status = client.wait(job.job_id, poll_seconds)
         if status["state"] in TERMINAL_STATES:
             break
         if watch is not None:
             watch(status)
-        time.sleep(poll_seconds)
     payloads = job.fetch_payloads()
     if context.trace is not None:
         for payload in payloads:
@@ -902,8 +997,8 @@ def run_batch(client: ServiceClient, context, *, poll_seconds: float,
 class ServiceExecutor:
     """``compile_many`` backend that rides the job service.
 
-    The whole batch becomes one submitted job; the executor polls it to
-    completion and unpacks the payloads (:func:`run_batch`), so results,
+    The whole batch becomes one submitted job; the executor waits for it
+    to end and unpacks the payloads (:func:`run_batch`), so results,
     traces, and exceptions read exactly like every other backend.  With
     ``detach=True``, ``run`` returns the :class:`SweepJob` handle
     immediately instead of outcomes — ``compile_many`` passes it

@@ -634,7 +634,7 @@ def compile_many(
 
     ``ServiceExecutor(broker=..., token=...)`` (:mod:`repro.flow.
     service`) submits the batch as one durable job on a standing
-    ``cfdlang-flow broker`` and polls it to completion; with
+    ``cfdlang-flow broker`` and waits for it to end; with
     ``detach=True`` this function returns the :class:`~repro.flow.
     service.SweepJob` handle immediately instead of a result list, and
     the job can be fetched later from any connection.

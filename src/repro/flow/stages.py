@@ -15,6 +15,7 @@ parameter fingerprint, so a sweep that varies only late parameters (e.g.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Tuple
 
@@ -665,13 +666,22 @@ def kernel_fingerprint(source) -> str:
     its raw identity; the ``parse`` stage will raise the real error.
     """
     if isinstance(source, str):
-        try:
-            from repro.cfdlang.printer import print_program
-
-            return print_program(parse_program(source))
-        except ReproError:
-            return source
+        return _canonical_text(source)
     return source_fingerprint(source)
+
+
+@functools.lru_cache(maxsize=64)
+def _canonical_text(source: str) -> str:
+    """Parse and reprint DSL text, memoized: every point of a sweep
+    builds its :class:`~repro.flow.session.Flow` from the same few
+    kernel texts, and a worker would otherwise parse each one again per
+    point.  Bounded, and the results are immutable strings."""
+    try:
+        from repro.cfdlang.printer import print_program
+
+        return print_program(parse_program(source))
+    except ReproError:
+        return source
 
 
 #: state keys whose cache identity is the *content* of the artifact, not

@@ -44,6 +44,11 @@ from typing import (
     runtime_checkable,
 )
 
+try:  # POSIX: a single-flight leader holds an flock the kernel drops at exit
+    import fcntl
+except ImportError:  # pragma: no cover — NT: lock staleness is age-only
+    fcntl = None
+
 #: outputs of one stage, as stored/returned by a backend
 Entry = Dict[str, object]
 
@@ -767,11 +772,16 @@ class FileSingleFlight:
     :class:`DiskStageCache`.
 
     Crash safety: a leader that dies without ``finish`` leaves its lock
-    behind.  Locks older than ``stale_seconds`` are treated as abandoned
-    — ``wait`` returns (the caller re-checks the cache and runs ``begin``
-    again) and ``begin`` steals the stale file.  A stage that legitimately
-    runs longer than ``stale_seconds`` degrades to duplicated work, never
-    to a wrong result: the cache write remains atomic.
+    file behind.  On POSIX the leader holds an ``flock`` on the file
+    until ``finish``, and the kernel drops it the moment the leader's
+    process exits, so a lock file nobody holds is abandoned at once.
+    Independently of that, locks older than ``stale_seconds`` count as
+    abandoned (the only test on platforms without ``flock``).  Either
+    way ``wait`` returns (the caller re-checks the cache and runs
+    ``begin`` again) and ``begin`` steals the abandoned file.  A stage
+    that legitimately runs longer than ``stale_seconds`` degrades to
+    duplicated work, never to a wrong result: the cache write remains
+    atomic.
     """
 
     _SUFFIX = ".lock"
@@ -787,6 +797,9 @@ class FileSingleFlight:
         self.lock_dir.mkdir(parents=True, exist_ok=True)
         self.stale_seconds = stale_seconds
         self.poll_seconds = poll_seconds
+        #: key -> descriptor of a lock file this instance leads, kept
+        #: open so its flock lives exactly as long as the leadership
+        self._held: Dict[str, int] = {}
 
     def _path(self, key: str) -> pathlib.Path:
         return self.lock_dir / (key + self._SUFFIX)
@@ -794,7 +807,9 @@ class FileSingleFlight:
     def _is_stale(self, path: pathlib.Path) -> bool:
         age = file_age_seconds(path)
         # age None: released while we looked — not ours to steal
-        return age is not None and age >= self.stale_seconds
+        if age is None:
+            return False
+        return age >= self.stale_seconds or _leader_exited(path)
 
     def begin(self, key: str) -> bool:
         path = self._path(key)
@@ -813,8 +828,23 @@ class FileSingleFlight:
                 # unwritable lock dir: fall back to "everyone leads" —
                 # duplicated work, but progress and a correct cache
                 return True
-            with os.fdopen(fd, "w") as f:
-                f.write(str(os.getpid()))
+            # lock before recording the pid: a prober that finds the
+            # file unlocked *and* non-empty knows its leader is gone
+            locked = False
+            if fcntl is not None:
+                try:
+                    fcntl.flock(fd, fcntl.LOCK_EX)
+                    locked = True
+                except OSError:
+                    pass  # a filesystem without flock: age decides
+            os.write(fd, str(os.getpid()).encode())
+            if not locked:
+                os.close(fd)
+                return True
+            stolen = self._held.pop(key, None)
+            if stolen is not None:
+                os.close(stolen)
+            self._held[key] = fd
             return True
         return False
 
@@ -823,6 +853,11 @@ class FileSingleFlight:
             self._path(key).unlink()
         except OSError:
             pass
+        # unlink before unlocking: a prober must never see this file
+        # unlocked while it still sits at the key's path
+        fd = self._held.pop(key, None)
+        if fd is not None:
+            os.close(fd)
 
     def wait(self, key: str, timeout: Optional[float] = None) -> None:
         deadline = (
@@ -835,3 +870,24 @@ class FileSingleFlight:
             if deadline is not None and time.monotonic() >= deadline:
                 return
             time.sleep(self.poll_seconds)
+
+
+def _leader_exited(path: pathlib.Path) -> bool:
+    """Whether a lock file's leader is gone: it recorded its pid (which
+    it does only once it holds the file's flock) and no process holds
+    that flock any more.  False wherever ``flock`` is unavailable."""
+    if fcntl is None:
+        return False
+    try:
+        fd = os.open(str(path), os.O_RDONLY)
+    except OSError:
+        return False  # released while we looked
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_SH | fcntl.LOCK_NB)
+        except OSError:
+            return False  # held: the leader is alive
+        # unlocked and empty: a leader between creating and locking it
+        return bool(os.read(fd, 32))
+    finally:
+        os.close(fd)

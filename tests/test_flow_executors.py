@@ -270,6 +270,46 @@ class TestFileSingleFlight:
         assert time.monotonic() - t0 < 2.0
         flight.finish("k")
 
+    def test_dead_leader_releases_its_waiters_at_once(self, tmp_path):
+        """A leader killed mid-stage leaves its lock file behind; its
+        waiters must take over as soon as it is dead, not when the
+        file is DEFAULT_LOCK_STALE_SECONDS old."""
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+
+        leader_code = (
+            "import sys, time\n"
+            "from repro.flow.store import FileSingleFlight\n"
+            "assert FileSingleFlight(sys.argv[1]).begin('k')\n"
+            "print('leading', flush=True)\n"
+            "time.sleep(120)\n"
+        )
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        leader = subprocess.Popen(
+            [sys.executable, "-c", leader_code, str(tmp_path)],
+            stdout=subprocess.PIPE, env=env,
+        )
+        try:
+            assert leader.stdout.readline().strip() == b"leading"
+            flight = FileSingleFlight(tmp_path)  # default 60 s window
+            assert not flight.begin("k")  # a live leader keeps its lock
+            leader.kill()  # no finally, no finish(): the lock file stays
+            t0 = time.monotonic()
+            flight.wait("k", timeout=30.0)
+            assert time.monotonic() - t0 < 2.0
+            assert (tmp_path / "k.lock").exists()
+            assert flight.begin("k")  # the abandoned lock is stolen
+            flight.finish("k")
+        finally:
+            leader.kill()
+            leader.wait(timeout=10)
+            leader.stdout.close()
+
     def test_wait_on_unknown_key_returns(self, tmp_path):
         FileSingleFlight(tmp_path).wait("never-started", timeout=0.1)
 

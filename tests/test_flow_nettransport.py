@@ -4,6 +4,7 @@ end-to-end equivalence, and the worker CLI failure paths."""
 
 import os
 import socket
+import sys
 import threading
 import time
 
@@ -172,6 +173,46 @@ class TestTcpConformance(TransportConformance):
         finally:
             client.close()
             server.close()
+
+
+class TestLongPollClaims:
+    def test_blocked_claimers_take_each_point_exactly_once(self):
+        """More claimers than cores, each blocked in a long-poll claim
+        while points are queued one by one under a short switch
+        interval: every point is claimed once, none lost or doubled,
+        and close() releases every claimer."""
+        queue = MemoryTransport()
+        ids = [f"b-{i:05d}" for i in range(300)]
+        claimed, claimed_lock = [], threading.Lock()
+
+        def claimer():
+            while True:
+                try:
+                    job = queue.claim_job(wait=0.05)
+                except TransportClosedError:
+                    return
+                if job is not None:
+                    with claimed_lock:
+                        claimed.append(job["id"])
+
+        threads = [threading.Thread(target=claimer) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for job_id in ids:
+                queue.put_job(message(job_id))
+            deadline = time.monotonic() + 30.0
+            while len(claimed) < len(ids) and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            queue.close()
+            for thread in threads:
+                thread.join(timeout=5.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(claimed) == ids
 
 
 # -- broker server specifics --------------------------------------------------

@@ -190,6 +190,23 @@ class TestPerKernelCacheGranularity:
         ran, hit = front_end_counts(trace, before)
         assert ran == 0 and hit == len(FRONT_END_STAGES)
 
+    def test_source_key_parses_each_text_once(self, monkeypatch):
+        """Every point of a sweep builds its Flow from the same kernel
+        text: the canonical source key must not parse it again per
+        point."""
+        import repro.flow.stages as stages
+        from repro.flow import Flow
+
+        parsed = []
+        real_parse = stages.parse_program
+        monkeypatch.setattr(
+            stages, "parse_program",
+            lambda text: parsed.append(text) or real_parse(text),
+        )
+        source = "// keyed once\n" + inverse_helmholtz_source(N)
+        keys = {Flow(source)._keys["source"] for _ in range(3)}
+        assert parsed == [source] and len(keys) == 1
+
     def test_ast_and_text_share_all_stage_keys(self):
         cache, trace = StageCache(), FlowTrace()
         compile_any(inverse_helmholtz_program(N), cache=cache, trace=trace)

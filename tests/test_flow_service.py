@@ -3,7 +3,9 @@ against the in-process JobService and over TCP through a real broker),
 restart durability, admission control, tenant cache namespaces, the
 service executor, and the submit/status/fetch/cancel CLI verbs."""
 
+import gc
 import os
+import socket
 import subprocess
 import sys
 import tempfile
@@ -28,13 +30,21 @@ from repro.flow import (
     compile_many,
     namespaced_key,
 )
-from repro.flow.distributed import WorkerCrashError, run_worker
+from repro.flow.distributed import (
+    TransportClosedError,
+    WorkerCrashError,
+    decode_results,
+    raw_result,
+    run_worker,
+)
 from repro.flow.nettransport import (
     BrokerAuthError,
     BrokerServer,
     MemoryTransport,
     TcpTransport,
+    recv_frame,
     run_tcp_worker,
+    send_frame,
 )
 from repro.flow.service import (
     TERMINAL_STATES,
@@ -503,6 +513,222 @@ class TestBrokerRestart:
             job.client.close()
         finally:
             server.close()
+
+
+# -- event-driven hops and long-poll lifecycle --------------------------------
+#: a poll interval no hop may wait out: every test below that sets it
+#: would take at least this long if one did
+SLOW_POLL = 30.0
+
+
+def wait_for_worker(server, worker_id, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while (worker_id not in server.transport.alive_workers(60.0)
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+    assert worker_id in server.transport.alive_workers(60.0)
+
+
+class TestEventDrivenBroker:
+    def test_no_hop_waits_out_its_poll_interval(
+        self, tmp_path, serial_results
+    ):
+        """submit -> claim -> complete -> finalize -> wait -> fetch with
+        the scheduler, the worker and the client all at a 30 s poll:
+        each hop wakes on its event, so the job runs at compile speed."""
+        server = start_service_broker(
+            "127.0.0.1", 0, TOKEN, DiskStageCache(tmp_path / "cache"),
+            tmp_path / "service", poll_seconds=SLOW_POLL,
+        )
+        worker = threading.Thread(
+            target=run_tcp_worker,
+            args=(server.address, TOKEN, tmp_path / "worker"),
+            kwargs={"max_jobs": len(GRID), "poll_seconds": SLOW_POLL,
+                    "worker_id": "w-slow-poll"},
+        )
+        worker.start()
+        try:
+            wait_for_worker(server, "w-slow-poll")
+            with ServiceClient(server.address, TOKEN) as client:
+                t0 = time.monotonic()
+                job = client.submit(spec_points(GRID))
+                status = job.wait(timeout=60.0, poll_seconds=SLOW_POLL)
+                results = job.fetch()
+                elapsed = time.monotonic() - t0
+            assert status["state"] == "done"
+            assert elapsed < 2.0
+            assert result_signature(results) == result_signature(
+                serial_results
+            )
+            worker.join(timeout=30.0)
+            assert not worker.is_alive()
+        finally:
+            server.close()
+
+    def test_results_are_stored_as_the_posted_bytes(self, tmp_path):
+        transport = MemoryTransport()
+        with JobService(
+            tmp_path, transport, poll_seconds=SLOW_POLL
+        ) as service:
+            job_id = service.submit([(HELMHOLTZ_DSL, None)])
+            message = transport.claim_job(wait=5.0)
+            posted = raw_result({
+                "id": message["id"], "index": 0, "outcome": 42,
+                "events": [], "deltas": {},
+            })
+            transport.complete(message["id"], posted)
+            status = service.wait(job_id, timeout=5.0)
+            assert status["state"] == "done"
+            assert service.fetch_raw(job_id) == [posted.data]
+            assert service.fetch(job_id)[0]["outcome"] == 42
+
+    def test_decoding_results_runs_one_young_gc_pass(self):
+        """Every object a result decodes into survives, so a collection
+        during the decode would only re-scan it: the collector is paused
+        for the batch, one young pass follows, and the collector is left
+        as the caller had it."""
+        blobs = [
+            raw_result({"outcome": [[i, j] for j in range(2000)],
+                        "events": [], "deltas": {}}).data
+            for i in range(4)
+        ] + [None]
+        passes = []
+
+        def record(phase, info):
+            if phase == "start":
+                passes.append(info["generation"])
+
+        gc.callbacks.append(record)
+        try:
+            payloads = decode_results(blobs)
+            assert passes == [0]
+            assert gc.isenabled()
+            gc.disable()
+            try:
+                assert decode_results(blobs[:1])[0]["outcome"][5] == [0, 5]
+                assert not gc.isenabled()
+            finally:
+                gc.enable()
+            assert passes == [0]
+        finally:
+            gc.callbacks.remove(record)
+        assert [p["outcome"][-1] for p in payloads[:4]] == [
+            [i, 1999] for i in range(4)
+        ]
+        assert payloads[4] is None
+
+    def test_wait_timeout_still_reports_progress(self, tmp_path):
+        server = start_service_broker(
+            "127.0.0.1", 0, TOKEN, DiskStageCache(tmp_path / "cache"),
+            tmp_path / "service", poll_seconds=SLOW_POLL,
+        )
+        try:
+            with ServiceClient(server.address, TOKEN) as client:
+                job = client.submit(spec_points(GRID[:2]))  # no worker
+                t0 = time.monotonic()
+                with pytest.raises(
+                    SystemGenerationError,
+                    match=r"still queued \(0/2 points\) after 0\.3s",
+                ):
+                    job.wait(timeout=0.3, poll_seconds=SLOW_POLL)
+                assert time.monotonic() - t0 < 2.0
+        finally:
+            server.close()
+
+    def test_restart_counts_failed_points_from_stored_bytes(self, tmp_path):
+        cache_dir, service_dir = tmp_path / "cache", tmp_path / "service"
+        server = start_service_broker(
+            "127.0.0.1", 0, TOKEN, DiskStageCache(cache_dir), service_dir,
+        )
+        try:
+            with ServiceClient(server.address, TOKEN) as client:
+                job_id = client.submit(
+                    [(HELMHOLTZ_DSL, None), ("not CFDlang", None)]
+                ).job_id
+                run_tcp_worker(server.address, TOKEN, tmp_path / "worker",
+                               max_jobs=2, worker_id="w-once")
+                status = SweepJob(client, job_id).wait(timeout=60.0)
+            assert (status["state"], status["failed_points"]) == ("failed", 1)
+        finally:
+            server.close()
+        server = start_service_broker(
+            "127.0.0.1", 0, TOKEN, DiskStageCache(cache_dir), service_dir,
+        )
+        try:
+            with ServiceClient(server.address, TOKEN) as client:
+                status = client.status(job_id)
+                payloads = client.fetch(job_id)
+        finally:
+            server.close()
+        assert status["state"] == "failed"
+        assert (status["done_points"], status["failed_points"]) == (2, 1)
+        assert payloads[0]["outcome"].memory.brams == 18
+        assert isinstance(payloads[1]["outcome"], Exception)
+
+    def test_v1_hello_gets_the_protocol_mismatch_error(self):
+        with BrokerServer("127.0.0.1", 0, TOKEN) as server:
+            with socket.create_connection(server.address, timeout=5.0) as s:
+                send_frame(s, {"op": "hello", "token": TOKEN,
+                               "role": "worker", "worker": "w-v1",
+                               "version": 1})
+                reply = recv_frame(s, allow_pickle=False)
+        assert reply == {
+            "ok": False,
+            "error": "protocol version mismatch: broker speaks v2, "
+                     "client spoke v1",
+        }
+
+    def test_close_wakes_a_blocked_claim_and_job_wait(self, tmp_path):
+        """close() must not wait out a long poll: a worker blocked in
+        claim and a client blocked in job_wait are released at once,
+        and the worker returns cleanly."""
+        server = start_service_broker(
+            "127.0.0.1", 0, TOKEN, DiskStageCache(tmp_path / "cache"),
+            tmp_path / "service", poll_seconds=SLOW_POLL,
+        )
+        client = ServiceClient(server.address, TOKEN).connect()
+        job = client.submit(spec_points(GRID[:1]))
+        # lease the only point here, so the job stays running and the
+        # worker below finds an empty queue
+        assert server.transport.claim_job()["id"] == f"{job.job_id}-00000"
+        outcomes = {}
+
+        def worker():
+            return run_tcp_worker(
+                server.address, TOKEN, tmp_path / "worker",
+                poll_seconds=SLOW_POLL, heartbeat_seconds=SLOW_POLL,
+                worker_id="w-blocked",
+            )
+
+        def waiter():
+            return job.wait(poll_seconds=SLOW_POLL)
+
+        def run(name, body):
+            try:
+                outcomes[name] = body()
+            except Exception as exc:  # noqa: BLE001 — recorded, asserted
+                outcomes[name] = exc
+
+        threads = [
+            threading.Thread(target=run, args=("worker", worker)),
+            threading.Thread(target=run, args=("client", waiter)),
+        ]
+        for thread in threads:
+            thread.start()
+        try:
+            wait_for_worker(server, "w-blocked")
+            time.sleep(0.3)  # both are now inside their long polls
+            t0 = time.monotonic()
+            server.close()
+            assert time.monotonic() - t0 < 1.0
+            for thread in threads:
+                thread.join(timeout=5.0)
+                assert not thread.is_alive()
+        finally:
+            server.close()
+            client.close()
+        assert outcomes["worker"] == 0  # a clean exit, no jobs run
+        assert isinstance(outcomes["client"], TransportClosedError)
 
 
 # -- tenant cache namespaces over the wire ------------------------------------
